@@ -287,7 +287,12 @@ impl Repl {
         if self.session.is_none() {
             let session =
                 IncrementalSession::new(self.program.clone(), &self.database, self.options())
-                    .map_err(|e| format!("cannot start incremental session: {e}\n"))?;
+                    .map_err(|e| {
+                        format!(
+                            "cannot start incremental session: {}\n",
+                            e.render(&self.interner)
+                        )
+                    })?;
             self.session = Some(session);
         }
         Ok(self.session.as_mut().expect("just created"))
@@ -323,7 +328,7 @@ impl Repl {
                 "queued {verb} {fact} ({} pending; `.poll` applies)\n",
                 session.pending_edits()
             ),
-            Err(e) => format!("error: {e}\n"),
+            Err(e) => format!("error: {}\n", e.render(&self.interner)),
         }
     }
 
@@ -334,7 +339,7 @@ impl Repl {
             Ok(Err(e)) => {
                 // A failed poll leaves the session in an unusable state.
                 self.session = None;
-                return format!("error: {e}\n");
+                return format!("error: {}\n", e.render(&self.interner));
             }
             Err(e) => return e,
         };

@@ -248,7 +248,9 @@ pub fn execute_full(
             let (pred, tuple) = parse_goal_fact(goal, &mut interner)?;
             let run =
                 provenance::minimum_model_with_provenance(&program, &input, EvalOptions::default())
-                    .map_err(|e| format!("{e} (explain requires pure Datalog)"))?;
+                    .map_err(|e| {
+                        format!("{} (explain requires pure Datalog)", e.render(&interner))
+                    })?;
             Ok(plain(provenance::explain(&run, pred, &tuple, &interner)))
         }
         Command::TraceCheck { expect, .. } => {
@@ -328,11 +330,14 @@ pub fn execute_ivm(
         options = options.with_threads(threads);
     }
     let mut session =
-        IncrementalSession::new(program, &input, options).map_err(|e| e.to_string())?;
+        IncrementalSession::new(program, &input, options).map_err(|e| e.render(&interner))?;
     let mut out = String::new();
     let mut polls = 0usize;
-    let mut poll = |session: &mut IncrementalSession, out: &mut String| -> Result<(), String> {
-        let st = session.poll().map_err(|e| e.to_string())?;
+    let mut poll = |session: &mut IncrementalSession,
+                    out: &mut String,
+                    interner: &Interner|
+     -> Result<(), String> {
+        let st = session.poll().map_err(|e| e.render(interner))?;
         polls += 1;
         let _ = write!(
             out,
@@ -362,7 +367,7 @@ pub fn execute_ivm(
         let lineno = idx + 1;
         let located = |msg: String| format!("edit script line {lineno}: {msg}");
         if line == "poll" || line == ".poll" {
-            poll(&mut session, &mut out).map_err(located)?;
+            poll(&mut session, &mut out, &interner).map_err(located)?;
             continue;
         }
         let (insert, fact) = if let Some(rest) = line.strip_prefix('+') {
@@ -380,10 +385,10 @@ pub fn execute_ivm(
         } else {
             session.retract(pred, tuple)
         };
-        queued.map_err(|e| located(e.to_string()))?;
+        queued.map_err(|e| located(e.render(&interner)))?;
     }
     if session.pending_edits() > 0 {
-        poll(&mut session, &mut out)?;
+        poll(&mut session, &mut out, &interner)?;
     }
     out.push_str(&render_instance(
         session.instance(),
@@ -547,7 +552,7 @@ fn render_check(program: &Program, interner: &Interner) -> String {
             let _ = writeln!(out, "strata:   {}", strat.strata_count());
         }
         Err(e) => {
-            let _ = writeln!(out, "strata:   not stratifiable ({e})");
+            let _ = writeln!(out, "strata:   not stratifiable ({})", e.render(interner));
         }
     }
     out
@@ -566,19 +571,19 @@ fn evaluate(
     match semantics {
         Semantics::Naive => naive::minimum_model(program, input, options)
             .map(|r| Answer::Instance(r.instance, r.stages))
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.render(interner)),
         Semantics::Seminaive => seminaive::minimum_model(program, input, options)
             .map(|r| Answer::Instance(r.instance, r.stages))
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.render(interner)),
         Semantics::Stratified => stratified::eval(program, input, options)
             .map(|r| Answer::Instance(r.instance, r.stages))
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.render(interner)),
         Semantics::WellFounded => wellfounded::eval(program, input, options)
             .map(Answer::ThreeValued)
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.render(interner)),
         Semantics::Inflationary => inflationary::eval(program, input, options)
             .map(|r| Answer::Instance(r.instance, r.stages))
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.render(interner)),
         Semantics::Noninflationary => {
             let policy = match policy {
                 "positive" => noninflationary::ConflictPolicy::PreferPositive,
@@ -589,14 +594,14 @@ fn evaluate(
             };
             noninflationary::eval(program, input, policy, options)
                 .map(|r| Answer::Instance(r.instance, r.stages))
-                .map_err(|e| e.to_string())
+                .map_err(|e| e.render(interner))
         }
         Semantics::Invention => invention::eval(program, input, options)
             .map(|r| {
                 let stages = r.stages;
                 Answer::Instance(r.instance, stages)
             })
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.render(interner)),
         Semantics::Nondet => {
             let compiled = NondetProgram::compile(program, true).map_err(|e| e.to_string())?;
             let mut chooser = RandomChooser::seeded(seed);
@@ -613,7 +618,6 @@ fn evaluate(
                 effect(&compiled, input, EffOptions::default()).map_err(|e| e.to_string())?;
             let pc =
                 poss_cert(&compiled, input, EffOptions::default()).map_err(|e| e.to_string())?;
-            let _ = interner; // symbols already interned during parse
             Ok(Answer::Effects {
                 effects,
                 poss: pc.poss,

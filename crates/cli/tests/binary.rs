@@ -44,6 +44,63 @@ fn missing_file_fails_with_message() {
     assert!(stderr.contains("cannot read"), "{stderr}");
 }
 
+/// Runs `unchained run -s <semantics> <program> <facts>` on temp files
+/// and returns (exit code, stderr).
+fn run_failing(name: &str, semantics: &str, program: &str, facts: &str) -> (i32, String) {
+    let prog = write_temp(&format!("{name}.dl"), program);
+    let facts = write_temp(&format!("{name}_facts.dl"), facts);
+    let out = bin()
+        .args(["run", "-s", semantics])
+        .arg(&prog)
+        .arg(&facts)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    (out.status.code().unwrap_or(-1), stderr)
+}
+
+#[test]
+fn fact_file_with_two_arities_is_a_parse_error() {
+    let (code, stderr) = run_failing(
+        "two_arities",
+        "seminaive",
+        "T(x) :- G(x,y).\n",
+        "G(1,2). G(1).\n",
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("parse error"), "{stderr}");
+    assert!(stderr.contains("`G`"), "{stderr}");
+    assert!(stderr.contains("arity 2 and of arity 1"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn errors_name_predicates_not_symbol_ids() {
+    let (code, stderr) = run_failing(
+        "win_unstratifiable",
+        "stratified",
+        "win(x) :- moves(x,y), !win(y).\n",
+        "moves(1,2).\n",
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("not stratifiable"), "{stderr}");
+    assert!(stderr.contains("involving win"), "{stderr}");
+    assert!(!stderr.contains("sym#"), "{stderr}");
+
+    let (code, stderr) = run_failing(
+        "arity_conflict",
+        "seminaive",
+        "P(x) :- G(x).\nQ(x) :- P(x), G(x,x).\n",
+        "",
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("relation G declared with arity 1 but used with arity 2"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("sym#"), "{stderr}");
+}
+
 #[test]
 fn check_prints_analysis() {
     let prog = write_temp("win.dl", "win(x) :- moves(x,y), !win(y).\n");

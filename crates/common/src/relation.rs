@@ -424,30 +424,21 @@ impl Relation {
     /// appears exactly once as a borrowed row; tombstoned tuples are
     /// skipped.
     pub fn iter_stored(&self) -> impl Iterator<Item = &[Value]> + Clone {
-        let all_live = self.retracted.is_empty();
-        self.segments
-            .iter()
-            .flat_map(|s| s.rows())
-            .chain(self.recent.iter().map(|t| t.values()))
-            .filter(move |row| all_live || self.set.contains(*row))
+        self.iter_stored_range(0, usize::MAX)
     }
 
-    /// Rows `lo..hi` of [`Relation::iter_stored`]'s enumeration.
-    ///
-    /// Tombstone-free relations (the hot path) navigate straight to the
-    /// right segment offsets instead of skipping row by row, which is
-    /// what lets morsel-driven workers jump to their assigned range in
-    /// O(#segments) rather than O(lo).
+    /// Live rows among physical storage rows `lo..hi` (frozen segments,
+    /// then the recent tail). Offsets count tombstoned rows too, so a
+    /// range is located in O(#segments) whether or not the relation has
+    /// tombstones, and the ranges of any partition of
+    /// `0..stored_len()` concatenate to exactly [`Relation::iter_stored`]
+    /// — the contract morsel-driven scans rely on.
     pub fn iter_stored_range(
         &self,
         lo: usize,
         hi: usize,
-    ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.retracted.is_empty() {
-            Box::new(rows_in_range(&self.segments, &self.recent, lo, hi))
-        } else {
-            Box::new(self.iter_stored().skip(lo).take(hi.saturating_sub(lo)))
-        }
+    ) -> impl Iterator<Item = &[Value]> + Clone {
+        self.iter_since_range(Generation::default(), lo, hi)
     }
 
     /// The tuples added since `gen` was captured from this relation.
@@ -464,37 +455,24 @@ impl Relation {
     /// mark and retracted again before the call is not part of the live
     /// delta.
     pub fn iter_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
-        let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        let all_live = self.retracted.is_empty();
-        self.segments[seg_from..]
-            .iter()
-            .flat_map(|s| s.rows())
-            .chain(self.recent[rec_from..].iter().map(|t| t.values()))
-            .filter(move |row| all_live || self.set.contains(*row))
+        self.iter_since_range(gen, 0, usize::MAX)
     }
 
-    /// Rows `lo..hi` of [`Relation::iter_since`]'s enumeration for `gen`
-    /// (including its conservative whole-relation fallback). Offsets are
-    /// relative to the delta, not to full storage; the ranges of a
-    /// partition of `0..delta_len(gen)` enumerate the delta exactly, in
-    /// order — the contract morsel-driven delta scans rely on.
+    /// Live rows among the delta's physical storage rows `lo..hi`, for
+    /// `gen` as in [`Relation::iter_since`] (including its conservative
+    /// whole-relation fallback). Offsets are relative to the delta and
+    /// count tombstoned rows too; the ranges of any partition of
+    /// `0..delta_len(gen)` concatenate to exactly `iter_since(gen)`.
     pub fn iter_since_range(
         &self,
         gen: Generation,
         lo: usize,
         hi: usize,
-    ) -> Box<dyn Iterator<Item = &[Value]> + '_> {
-        if self.retracted.is_empty() {
-            let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-            Box::new(rows_in_range(
-                &self.segments[seg_from..],
-                &self.recent[rec_from..],
-                lo,
-                hi,
-            ))
-        } else {
-            Box::new(self.iter_since(gen).skip(lo).take(hi.saturating_sub(lo)))
-        }
+    ) -> impl Iterator<Item = &[Value]> + Clone {
+        let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
+        let all_live = self.retracted.is_empty();
+        rows_in_range(&self.segments[seg_from..], &self.recent[rec_from..], lo, hi)
+            .filter(move |row| all_live || self.set.contains(*row))
     }
 
     /// The tombstones appended since `gen` was captured from this
@@ -532,16 +510,11 @@ impl Relation {
         }
     }
 
-    /// Number of tuples [`Relation::iter_since`] would yield for `gen`
-    /// (including the conservative whole-relation fallback). Lets parallel
-    /// workers split a delta scan into equal contiguous morsels without
-    /// first materializing it.
+    /// Number of physical storage rows in the delta for `gen`, dead rows
+    /// included: the driver length that [`Relation::iter_since_range`]
+    /// partitions. O(#segments), so parallel workers can split a delta
+    /// scan into contiguous morsels without first materializing it.
     pub fn delta_len(&self, gen: Generation) -> usize {
-        if !self.retracted.is_empty() {
-            // Dead tuples hide inside the suffix; count the filtered
-            // enumeration instead of trusting the storage arithmetic.
-            return self.iter_since(gen).count();
-        }
         let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
         self.segments[seg_from..]
             .iter()
@@ -550,11 +523,11 @@ impl Relation {
             + (self.recent.len() - rec_from)
     }
 
-    /// Number of rows [`Relation::iter_stored`] yields. Equals `len()`
-    /// for tombstone-free relations; with tombstones the storage walk is
-    /// filtered, but every live tuple still appears exactly once.
+    /// Number of physical storage rows, dead rows included: the driver
+    /// length that [`Relation::iter_stored_range`] partitions. Equals
+    /// `len()` for tombstone-free relations.
     pub fn stored_len(&self) -> usize {
-        self.set.len()
+        self.delta_len(Generation::default())
     }
 
     /// Returns the tuples in sorted order as shared owned storage.
@@ -643,35 +616,30 @@ impl Relation {
 
 /// Enumerates rows `lo..hi` of the concatenation `segments ++ recent`
 /// by jumping straight to the covering segment offsets (no per-row
-/// skipping). Bounds outside the storage are clamped.
+/// skipping, no allocation). Bounds outside the storage are clamped.
 fn rows_in_range<'a>(
     segments: &'a [Arc<ColumnSegment>],
     recent: &'a [Tuple],
     lo: usize,
     hi: usize,
-) -> impl Iterator<Item = &'a [Value]> {
-    let mut pieces: Vec<crate::columnar::Rows<'a>> = Vec::new();
+) -> impl Iterator<Item = &'a [Value]> + Clone {
     let mut off = 0usize;
-    for seg in segments {
-        let n = seg.len();
-        let a = lo.max(off);
-        let b = hi.min(off + n);
-        if a < b {
-            pieces.push(seg.rows_range(a - off, b - off));
-        }
-        off += n;
-    }
-    let a = lo.clamp(off, off + recent.len());
-    let b = hi.clamp(off, off + recent.len());
-    let tail: &[Tuple] = if a < b {
-        &recent[a - off..b - off]
-    } else {
-        &[]
-    };
-    pieces
-        .into_iter()
-        .flatten()
-        .chain(tail.iter().map(|t| t.values()))
+    let frozen = segments.iter().flat_map(move |seg| {
+        let start = off;
+        off += seg.len();
+        let (a, b) = (lo.clamp(start, off), hi.clamp(start, off));
+        seg.rows_range(a - start, b.max(a) - start)
+    });
+    let seg_total: usize = segments.iter().map(|s| s.len()).sum();
+    let (a, b) = (
+        lo.clamp(seg_total, seg_total + recent.len()),
+        hi.clamp(seg_total, seg_total + recent.len()),
+    );
+    frozen.chain(
+        recent[a - seg_total..b.max(a) - seg_total]
+            .iter()
+            .map(|t| t.values()),
+    )
 }
 
 impl HeapSize for Relation {

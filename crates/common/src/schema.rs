@@ -109,13 +109,24 @@ pub struct ArityConflict {
     pub conflicting: usize,
 }
 
+impl ArityConflict {
+    /// The `Display` message with the relation named through `interner`
+    /// instead of by symbol id.
+    pub fn render(&self, interner: &Interner) -> String {
+        self.message(interner.name(self.name))
+    }
+
+    fn message(&self, name: impl fmt::Display) -> String {
+        format!(
+            "relation {name} declared with arity {} but used with arity {}",
+            self.declared, self.conflicting
+        )
+    }
+}
+
 impl fmt::Display for ArityConflict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "relation {:?} declared with arity {} but used with arity {}",
-            self.name, self.declared, self.conflicting
-        )
+        f.write_str(&self.message(format_args!("{:?}", self.name)))
     }
 }
 

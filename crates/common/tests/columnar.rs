@@ -16,7 +16,12 @@
 //! * `iter_since` deltas are exact for cursors captured at freeze
 //!   boundaries — no row missing, none repeated, order preserved —
 //!   and conservatively a superset for cursors orphaned mid-tail by a
-//!   later commit.
+//!   later commit;
+//! * with retractions interleaved, morsel ranges over physical storage
+//!   rows (`iter_stored_range`, `iter_since_range`) concatenate, over
+//!   any partition of the driver length, to exactly `iter_stored` and
+//!   `iter_since`: tombstoned rows count toward the offsets and are
+//!   skipped inside each range.
 
 use unchained_common::{
     tuple_bytes, ColumnSegment, HeapSize, Instance, Interner, Relation, Rng, SpaceReport, Tuple,
@@ -33,25 +38,46 @@ fn random_tuple(rng: &mut Rng, arity: usize, domain: i64) -> Tuple {
 }
 
 /// The reference model: the storage discipline the previous boxed
-/// layout implemented, kept as plain `Vec<Tuple>`s.
+/// layout implemented, kept as plain `Vec<Tuple>`s, plus tombstones.
 #[derive(Clone, Default)]
 struct RefModel {
     /// Frozen prefix: concatenation of sorted segments.
     frozen: Vec<Tuple>,
-    /// Live tail, in insertion order.
+    /// Uncommitted tail, in insertion order.
     tail: Vec<Tuple>,
+    /// Retracted tuples whose physical copies stay in `frozen`/`tail`.
+    dead: Vec<Tuple>,
+    /// Bumped when reviving a dead tuple collapses storage, which
+    /// invalidates every earlier cursor.
+    epoch: usize,
 }
 
 impl RefModel {
     fn contains(&self, t: &Tuple) -> bool {
-        self.frozen.contains(t) || self.tail.contains(t)
+        (self.frozen.contains(t) || self.tail.contains(t)) && !self.dead.contains(t)
     }
 
     fn insert(&mut self, t: Tuple) -> bool {
         if self.contains(&t) {
             return false;
         }
+        if self.dead.contains(&t) {
+            // Reviving a tombstoned tuple collapses storage into one
+            // tail of the live rows, in storage order.
+            self.tail = self.stored();
+            self.frozen.clear();
+            self.dead.clear();
+            self.epoch += 1;
+        }
         self.tail.push(t);
+        true
+    }
+
+    fn retract(&mut self, t: &Tuple) -> bool {
+        if !self.contains(t) {
+            return false;
+        }
+        self.dead.push(t.clone());
         true
     }
 
@@ -60,15 +86,23 @@ impl RefModel {
         self.frozen.append(&mut self.tail);
     }
 
-    /// Expected `iter_stored` order: frozen segments, then the tail.
-    fn stored(&self) -> Vec<Tuple> {
+    /// Every physical row, dead ones included: frozen, then the tail.
+    fn physical(&self) -> Vec<Tuple> {
         let mut out = self.frozen.clone();
         out.extend(self.tail.iter().cloned());
         out
     }
 
+    /// Expected `iter_stored` order: live rows of frozen segments, then
+    /// of the tail.
+    fn stored(&self) -> Vec<Tuple> {
+        let mut out = self.physical();
+        out.retain(|t| !self.dead.contains(t));
+        out
+    }
+
     fn len(&self) -> usize {
-        self.frozen.len() + self.tail.len()
+        self.stored().len()
     }
 }
 
@@ -224,6 +258,76 @@ fn iter_since_is_exact_at_freeze_boundaries_and_conservative_mid_tail() {
             );
         }
         assert!(superset.len() <= rel.len());
+    }
+}
+
+/// Cuts `0..n` into consecutive random ranges, empty ones included.
+fn random_partition(rng: &mut Rng, n: usize) -> Vec<(usize, usize)> {
+    let mut parts = Vec::new();
+    let mut lo = 0;
+    loop {
+        let hi = (lo + rng.gen_index(5)).min(n);
+        parts.push((lo, hi));
+        if hi == n {
+            return parts;
+        }
+        lo = hi;
+    }
+}
+
+#[test]
+fn morsel_ranges_partition_scans_of_tombstoned_relations() {
+    let mut rng = Rng::seeded(0xC06);
+    for arity in 1..=3 {
+        let mut rel = Relation::new(arity);
+        let mut model = RefModel::default();
+        // Boundary cursors with the model's epoch and physical length
+        // at capture time.
+        let mut cursors = vec![(rel.generation(), model.epoch, 0usize)];
+        for step in 0..400 {
+            let t = random_tuple(&mut rng, arity, 5);
+            match rng.gen_index(10) {
+                0..=5 => assert_eq!(rel.insert(t.clone()), model.insert(t), "step {step}"),
+                6..=8 => assert_eq!(rel.retract(&t), model.retract(&t), "step {step}"),
+                _ => {
+                    rel.commit();
+                    model.commit();
+                    cursors.push((rel.generation(), model.epoch, model.frozen.len()));
+                }
+            }
+            if step % 50 != 49 {
+                continue;
+            }
+            let context = format!("arity {arity}, step {step}");
+            assert_matches_model(&rel, &model, &context);
+            assert_eq!(rel.stored_len(), model.physical().len(), "{context}");
+            let stored: Vec<&[Value]> = rel.iter_stored().collect();
+            let mut merged: Vec<&[Value]> = Vec::new();
+            for (lo, hi) in random_partition(&mut rng, rel.stored_len()) {
+                merged.extend(rel.iter_stored_range(lo, hi));
+            }
+            assert_eq!(merged, stored, "{context}: stored morsels");
+            for (i, &(gen, epoch, seen)) in cursors.iter().enumerate() {
+                let delta: Vec<&[Value]> = rel.iter_since(gen).collect();
+                let mut merged: Vec<&[Value]> = Vec::new();
+                for (lo, hi) in random_partition(&mut rng, rel.delta_len(gen)) {
+                    merged.extend(rel.iter_since_range(gen, lo, hi));
+                }
+                assert_eq!(merged, delta, "{context}, cursor {i}: delta morsels");
+                if epoch == model.epoch {
+                    // Still a storage prefix: the delta is exact.
+                    let physical = model.physical();
+                    assert_eq!(rel.delta_len(gen), physical.len() - seen, "{context}");
+                    let live: Vec<Tuple> = physical[seen..]
+                        .iter()
+                        .filter(|t| !model.dead.contains(t))
+                        .cloned()
+                        .collect();
+                    let delta: Vec<Tuple> = delta.into_iter().map(Tuple::new).collect();
+                    assert_eq!(delta, live, "{context}, cursor {i}: exact delta");
+                }
+            }
+        }
     }
 }
 

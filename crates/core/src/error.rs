@@ -1,6 +1,7 @@
 //! Errors produced by the evaluation engines.
 
 use std::fmt;
+use unchained_common::Interner;
 use unchained_parser::{AnalysisError, Language};
 
 /// An evaluation error.
@@ -74,6 +75,17 @@ impl fmt::Display for EvalError {
 }
 
 impl std::error::Error for EvalError {}
+
+impl EvalError {
+    /// The `Display` message with predicates named through `interner`
+    /// instead of by symbol id.
+    pub fn render(&self, interner: &Interner) -> String {
+        match self {
+            EvalError::Analysis(e) => e.render(interner),
+            other => other.to_string(),
+        }
+    }
+}
 
 impl From<AnalysisError> for EvalError {
     fn from(e: AnalysisError) -> Self {

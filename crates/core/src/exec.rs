@@ -4,15 +4,25 @@
 //!
 //! The interpreter walks a compiled [`Plan`]'s steps
 //! ([`crate::ir::Step`]) depth-first, invoking a callback once per
-//! satisfying valuation, and memoizes per-(relation, columns) hash
-//! indexes across fixpoint iterations in an [`IndexCache`] tracked by
-//! relation [`Generation`]: when a relation only grew, the cached index
-//! absorbs the new tuples incrementally instead of being rebuilt from
-//! scratch. Join-work telemetry ([`JoinCounters`]) is emitted here, in
-//! one place, for all engines.
+//! satisfying valuation. A scan with key columns probes a hash index;
+//! a scan without (a plan's driver, or a cross product) walks the
+//! relation's columnar storage directly and never builds an index.
+//!
+//! There is one [`IndexCache`] per evaluation, shared by reference by
+//! every worker of a round. Before a plan runs (before a round's workers
+//! start, for [`crate::parallel::run_round`]), [`IndexCache::prepare`]
+//! points each index its keyed scans probe at the relation's current
+//! [`Generation`]; the run then only reads the cache. The first probe
+//! that needs an index makes it current — absorbing the tuples appended
+//! since it was last current, or building it — exactly once per run, so
+//! indexes no probe reaches cost nothing and the index work is the same
+//! whichever worker gets there first. What a probe writes, join counters
+//! and the probe-key buffer, lives in a per-worker [`Worker`]. Join-work
+//! telemetry ([`JoinCounters`]) is emitted here, in one place, for all
+//! engines, and does not depend on the worker count.
 
-use std::collections::hash_map::Entry as MapEntry;
 use std::ops::ControlFlow;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use unchained_common::{
     DeltaHandle, FxHashMap, Generation, HeapSize, Index, Instance, JoinCounters, Relation, Symbol,
     Tuple, Value,
@@ -22,15 +32,66 @@ use unchained_parser::Term;
 use crate::ir::{Plan, ScanSource, Step};
 use crate::subst::{instantiate, term_value, Env};
 
-/// Cache key: relation, index columns, scan source.
-type IndexKey = (Symbol, Box<[usize]>, ScanSource);
+/// The relation generation and, for delta entries, the mark that an
+/// index covers.
+type Coverage = (Generation, Option<Generation>);
 
 struct CacheEntry {
-    /// Generation of the relation the index is current for.
-    gen: Generation,
-    /// For delta-source entries, the mark the slice was taken from.
-    mark: Option<Generation>,
-    index: Index,
+    /// Key columns the index is built on.
+    cols: Box<[usize]>,
+    /// What the index must cover in the current run.
+    target: Coverage,
+    /// The index, made current for `target` by the first probe of the
+    /// run that needs it. Indexes no probe reaches are never built.
+    index: OnceLock<Index>,
+    /// An index left by an earlier run, with what it covers: the first
+    /// probe absorbs it into `index`, or rebuilds.
+    stale: Mutex<Option<(Index, Coverage)>>,
+}
+
+impl CacheEntry {
+    /// An index over `relation` current for `target`, absorbed from the
+    /// stale one where the lineage allows. Counts the work in `counters`.
+    fn make_current(&self, relation: &Relation, counters: &mut JoinCounters) -> Index {
+        let stale = self
+            .stale
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let mark = self.target.1;
+        // Delta indexes are rebuilt per round, never absorbed.
+        if let (Some((mut index, (gen, None))), None) = (stale, mark) {
+            if let Some(appended) = index.absorb_from(relation, gen) {
+                counters.index_appends += 1;
+                counters.appended_tuples += appended as u64;
+                return index;
+            }
+            counters.index_rebuilds += 1;
+            counters.indexed_tuples += relation.len() as u64;
+            return Index::build(relation, &self.cols);
+        }
+        let index = match mark {
+            Some(m) => Index::build_delta(relation, &self.cols, m),
+            None => Index::build(relation, &self.cols),
+        };
+        counters.index_builds += 1;
+        counters.indexed_tuples += index.tuple_count() as u64;
+        index
+    }
+
+    /// How many indexes the entry holds (current and stale), and their
+    /// logical bytes.
+    fn held(&self) -> (usize, usize) {
+        let stale = self.stale.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = self.index.get();
+        let stale = stale.as_ref().map(|(index, _)| index);
+        current
+            .into_iter()
+            .chain(stale)
+            .fold((0, 0), |(n, bytes), index| {
+                (n + 1, bytes + index.heap_bytes())
+            })
+    }
 }
 
 /// A per-run cache of relation indexes, keyed by
@@ -46,16 +107,18 @@ struct CacheEntry {
 /// [`IndexCache::begin_delta_round`].
 #[derive(Default)]
 pub struct IndexCache {
-    entries: FxHashMap<IndexKey, CacheEntry>,
-    /// Join-work counters, incremented unconditionally (plain integer
-    /// adds — the telemetry-off path stays branch-free). Engines
-    /// snapshot and diff this per stage when telemetry is enabled.
+    /// Entries per (relation, source); a relation has few key shapes, so
+    /// finding one by columns is a short scan with no key allocation.
+    entries: FxHashMap<(Symbol, ScanSource), Vec<CacheEntry>>,
+    /// Join-work counters: cache hits are counted by
+    /// [`IndexCache::prepare`], index builds and probes by the workers,
+    /// whose counters are added in when a run ends. Engines snapshot and
+    /// diff this per stage when telemetry is enabled.
     pub counters: JoinCounters,
-    /// Pool of packed-value scratch buffers reused by the scan step
-    /// (probe keys and posting copies), so steady-state probing does
-    /// not allocate. Depth-bounded: the pool high-water mark is the
-    /// deepest scan nesting of any plan, not the data size.
-    scratch: Vec<Vec<Value>>,
+    /// Probe-key buffer lent to the `&mut` entry points, so repeated
+    /// calls (one per support query in incremental maintenance) do not
+    /// allocate.
+    key: Vec<Value>,
 }
 
 impl IndexCache {
@@ -64,87 +127,113 @@ impl IndexCache {
         Self::default()
     }
 
-    /// Takes a cleared scratch buffer from the pool (or a fresh one).
-    fn take_scratch(&mut self) -> Vec<Value> {
-        self.scratch.pop().unwrap_or_default()
-    }
-
-    /// Returns a scratch buffer to the pool for reuse.
-    fn put_scratch(&mut self, mut buf: Vec<Value>) {
-        buf.clear();
-        self.scratch.push(buf);
-    }
-
     /// Drops all delta-source entries. Call at the start of each
     /// semi-naive round: delta indexes cover one round's slice and are
     /// never carried across rounds.
     pub fn begin_delta_round(&mut self) {
         self.entries
-            .retain(|(_, _, source), _| *source == ScanSource::Full);
+            .retain(|(_, source), _| *source == ScanSource::Full);
     }
 
     /// Logical bytes held by every cached index (see
     /// [`unchained_common::space`]). Reported as a telemetry note, not
-    /// part of the `--memstats` tree: live cache contents depend on the
-    /// worker-shard layout, so unlike relation bytes they are not
-    /// invariant across thread counts.
+    /// part of the `--memstats` tree, which counts relations only.
     pub fn heap_bytes(&self) -> usize {
-        self.entries.values().map(|e| e.index.heap_bytes()).sum()
+        self.entries.values().flatten().map(|e| e.held().1).sum()
     }
 
     /// Number of cached indexes.
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.entries.values().flatten().map(|e| e.held().0).sum()
     }
 
-    pub(crate) fn get(
-        &mut self,
+    /// Points every index that `plan`'s keyed scans probe at what
+    /// `sources` now holds. Nothing is built here: an index that is
+    /// already current counts as a hit, and any other is made current by
+    /// the first probe that needs it (see [`IndexCache::index`]), so an
+    /// index no probe reaches costs nothing. Call before running `plan`;
+    /// the run then only reads the cache, from any number of workers.
+    pub(crate) fn prepare(&mut self, plan: &Plan, sources: Sources<'_>) {
+        for step in &plan.steps {
+            let Step::Scan {
+                pred, key, source, ..
+            } = step
+            else {
+                continue;
+            };
+            if key.is_empty() {
+                continue;
+            }
+            if let Some(relation) = sources.relation(*pred, *source) {
+                let target = (relation.generation(), sources.mark(*pred, *source));
+                self.refresh(*pred, key, *source, target);
+            }
+        }
+    }
+
+    /// Points the `(pred, cols, source)` entry at `target`.
+    fn refresh(&mut self, pred: Symbol, cols: &[usize], source: ScanSource, target: Coverage) {
+        let entries = self.entries.entry((pred, source)).or_default();
+        match entries.iter_mut().find(|e| *e.cols == *cols) {
+            None => entries.push(CacheEntry {
+                cols: cols.into(),
+                target,
+                index: OnceLock::new(),
+                stale: Mutex::default(),
+            }),
+            Some(entry) if entry.target == target => {
+                if entry.index.get().is_some() {
+                    self.counters.index_hits += 1;
+                }
+            }
+            Some(entry) => {
+                if let Some(index) = entry.index.take() {
+                    let stale = entry
+                        .stale
+                        .get_mut()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    *stale = Some((index, entry.target));
+                }
+                entry.target = target;
+            }
+        }
+    }
+
+    /// The prepared `(pred, cols, source)` index over `relation`, made
+    /// current by this call if no probe of the run has yet; the work is
+    /// counted in `counters`. Exactly one probe builds each index a run
+    /// needs, whichever worker it comes from, so the counters summed
+    /// over workers do not depend on the schedule.
+    fn index(
+        &self,
         pred: Symbol,
         cols: &[usize],
         source: ScanSource,
         relation: &Relation,
-        mark: Option<Generation>,
+        counters: &mut JoinCounters,
     ) -> &Index {
-        let key = (pred, cols.to_vec().into_boxed_slice(), source);
-        let gen_now = relation.generation();
-        let counters = &mut self.counters;
-        let fresh = |counters: &mut JoinCounters| {
-            let index = match mark {
-                Some(m) => Index::build_delta(relation, cols, m),
-                None => Index::build(relation, cols),
-            };
-            counters.index_builds += 1;
-            counters.indexed_tuples += index.tuple_count() as u64;
-            CacheEntry {
-                gen: gen_now,
-                mark,
-                index,
-            }
-        };
-        match self.entries.entry(key) {
-            MapEntry::Vacant(slot) => &slot.insert(fresh(counters)).index,
-            MapEntry::Occupied(slot) => {
-                let entry = slot.into_mut();
-                if entry.gen == gen_now && entry.mark == mark {
-                    counters.index_hits += 1;
-                } else if mark.is_some() {
-                    // Delta indexes are rebuilt per round, never absorbed.
-                    *entry = fresh(counters);
-                } else if let Some(appended) = entry.index.absorb_from(relation, entry.gen) {
-                    counters.index_appends += 1;
-                    counters.appended_tuples += appended as u64;
-                    entry.gen = gen_now;
-                } else {
-                    counters.index_rebuilds += 1;
-                    counters.indexed_tuples += relation.len() as u64;
-                    entry.index = Index::build(relation, cols);
-                    entry.gen = gen_now;
-                    entry.mark = None;
-                }
-                &entry.index
-            }
-        }
+        let entry = self
+            .entries
+            .get(&(pred, source))
+            .and_then(|entries| entries.iter().find(|e| *e.cols == *cols))
+            .expect("keyed scan probed an index that was never prepared");
+        debug_assert_eq!(entry.target.0, relation.generation());
+        entry
+            .index
+            .get_or_init(|| entry.make_current(relation, counters))
     }
+}
+
+/// What one worker of a plan execution writes: its join counters and
+/// its probe-key buffer. The [`IndexCache`] itself is only read while
+/// plans run, so any number of workers can share it.
+#[derive(Default)]
+pub(crate) struct Worker {
+    /// Probes and probed tuples of this worker's scans.
+    pub(crate) counters: JoinCounters,
+    /// Reused for every probe key; released before the probe's rows are
+    /// walked, so nested scans share it.
+    key: Vec<Value>,
 }
 
 /// The instances a plan reads from.
@@ -187,6 +276,25 @@ impl<'a> Sources<'a> {
             delta_from: None,
         }
     }
+
+    /// The relation a scan of `pred` from `source` reads, if present.
+    fn relation(&self, pred: Symbol, source: ScanSource) -> Option<&'a Relation> {
+        match source {
+            ScanSource::Full => self.full,
+            ScanSource::Delta => self.delta_from.unwrap_or(self.full),
+        }
+        .relation(pred)
+    }
+
+    /// The delta mark restricting a scan of `pred` from `source`; `None`
+    /// for full scans.
+    fn mark(&self, pred: Symbol, source: ScanSource) -> Option<Generation> {
+        (source == ScanSource::Delta).then(|| {
+            self.delta
+                .expect("delta plan run without delta marks")
+                .mark(pred)
+        })
+    }
 }
 
 /// Runs `plan` against `sources`, with domain steps enumerating `adom`,
@@ -201,7 +309,7 @@ pub fn for_each_match(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     let mut env: Env = vec![None; plan.var_count];
-    run_steps(&plan.steps, sources, adom, cache, &mut env, on_match)
+    for_each_match_from(plan, sources, adom, cache, &mut env, on_match)
 }
 
 /// Like [`for_each_match`], but starting from a caller-seeded
@@ -219,7 +327,20 @@ pub fn for_each_match_from(
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     debug_assert_eq!(env.len(), plan.var_count);
-    run_steps(&plan.steps, sources, adom, cache, env, on_match)
+    cache.prepare(plan, sources);
+    let mut worker = Worker {
+        counters: JoinCounters::default(),
+        key: std::mem::take(&mut cache.key),
+    };
+    let ctx = Ctx {
+        sources,
+        adom,
+        cache,
+    };
+    let flow = execute(plan, ctx, &mut worker, Morsel::Whole, env, on_match);
+    cache.counters.absorb(&worker.counters);
+    cache.key = worker.key;
+    flow
 }
 
 /// Runs `plan` and instantiates `head_args` once per match, invoking
@@ -243,17 +364,17 @@ pub fn for_each_head(
     fired
 }
 
-/// One unit of work for the morsel-driven parallel executor: either a
+/// One unit of work for the morsel-driven round driver: either a
 /// whole-plan evaluation, or a contiguous row range of the plan's
-/// *driver* — its first scan step.
+/// *driver* — its first scan step, when that scan has no key columns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Morsel {
-    /// Run the plan in full. Used for plans whose first step is not a
-    /// scan (no row range to partition).
+    /// Run the plan in full. Used for plans that do not start with an
+    /// unkeyed scan (no row range to partition).
     Whole,
-    /// Run only driver rows `lo..hi` (a range of the driver relation's
-    /// stored enumeration for full scans, or of its exact delta
-    /// enumeration for delta scans).
+    /// Run only driver rows `lo..hi`: physical storage rows of the
+    /// driver relation for full scans, or of its delta for delta scans
+    /// (tombstoned rows count, and are skipped).
     Rows {
         /// First driver row (inclusive).
         lo: usize,
@@ -262,138 +383,151 @@ pub enum Morsel {
     },
 }
 
-/// Number of driver rows `plan` enumerates under `sources`: the stored
-/// length of the first scan step's relation (full scans) or its delta
-/// length (delta scans). `None` when the first step is not a scan — such
-/// plans cannot be row-partitioned and run as one [`Morsel::Whole`].
-/// An absent relation yields `Some(0)`: nothing to scan, zero morsels.
+/// Number of physical driver rows `plan` walks under `sources`: the
+/// storage length of the first scan step's relation (full scans) or of
+/// its delta (delta scans). `None` when the plan does not start with an
+/// unkeyed scan — such plans cannot be row-partitioned and run as one
+/// [`Morsel::Whole`]. An absent relation yields `Some(0)`: nothing to
+/// scan, zero morsels.
 pub fn driver_len(plan: &Plan, sources: Sources<'_>) -> Option<usize> {
-    let Some(Step::Scan { pred, source, .. }) = plan.steps.first() else {
+    let Some(Step::Scan {
+        pred, key, source, ..
+    }) = plan.steps.first()
+    else {
         return None;
     };
-    let scan_instance = match source {
-        ScanSource::Full => sources.full,
-        ScanSource::Delta => sources.delta_from.unwrap_or(sources.full),
-    };
-    let Some(relation) = scan_instance.relation(*pred) else {
-        return Some(0);
-    };
-    match source {
-        ScanSource::Full => Some(relation.stored_len()),
-        ScanSource::Delta => {
-            let mark = sources
-                .delta
-                .expect("delta plan run without delta marks")
-                .mark(*pred);
-            Some(relation.delta_len(mark))
+    if !key.is_empty() {
+        return None;
+    }
+    // As in `Ctx::rows`, the default generation stands for a full scan.
+    let mark = sources.mark(*pred, *source).unwrap_or_default();
+    Some(
+        sources
+            .relation(*pred, *source)
+            .map_or(0, |r| r.delta_len(mark)),
+    )
+}
+
+/// Everything a plan execution reads: shared by all workers of a round.
+#[derive(Clone, Copy)]
+pub(crate) struct Ctx<'a> {
+    pub(crate) sources: Sources<'a>,
+    pub(crate) adom: &'a [Value],
+    /// Prepared for the plans being run (see [`IndexCache::prepare`]).
+    pub(crate) cache: &'a IndexCache,
+}
+
+impl<'a> Ctx<'a> {
+    /// The live rows among physical rows `lo..hi` that an unkeyed scan
+    /// of `pred` from `source` walks (the delta's rows for delta scans);
+    /// `None` when the relation is absent.
+    fn rows(
+        &self,
+        pred: Symbol,
+        source: ScanSource,
+        lo: usize,
+        hi: usize,
+    ) -> Option<impl Iterator<Item = &'a [Value]>> {
+        let relation = self.sources.relation(pred, source)?;
+        // A full scan has no mark; the default generation treats the
+        // whole relation as new, so one range walk serves both sources.
+        let mark = self.sources.mark(pred, source).unwrap_or_default();
+        Some(relation.iter_since_range(mark, lo, hi))
+    }
+}
+
+/// Runs one [`Morsel`] of `plan` from `env`. Workers pulling disjoint
+/// row ranges partition the plan's match set exactly: every match
+/// consumes exactly one driver row, and the ranges partition the driver
+/// enumeration. Summing matches over a partition of
+/// `0..driver_len(plan, sources)` therefore equals a whole-plan run,
+/// independent of how morsels are assigned to workers.
+#[allow(clippy::type_complexity)]
+pub(crate) fn execute(
+    plan: &Plan,
+    ctx: Ctx<'_>,
+    worker: &mut Worker,
+    morsel: Morsel,
+    env: &mut Env,
+    on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    match morsel {
+        Morsel::Whole => run_steps(&plan.steps, ctx, worker, env, on_match),
+        Morsel::Rows { lo, hi } => {
+            let Some((
+                Step::Scan {
+                    pred, args, source, ..
+                },
+                rest,
+            )) = plan.steps.split_first()
+            else {
+                unreachable!("row morsel for a plan without a driver scan");
+            };
+            match ctx.rows(*pred, *source, lo, hi) {
+                Some(rows) => bind_rows(rows, args, &[], rest, ctx, worker, env, on_match),
+                None => ControlFlow::Continue(()), // absent relation = empty
+            }
         }
     }
 }
 
-/// Like [`for_each_head`], but restricted to one [`Morsel`] of the
-/// plan's driver scan. The driver rows are enumerated directly from
-/// columnar storage ([`Relation::iter_stored_range`] /
-/// [`Relation::iter_since_range`]) instead of through an index, so
-/// workers pulling disjoint row ranges partition the plan's match set
-/// exactly: every match consumes exactly one driver row, and the ranges
-/// partition the driver enumeration. Summing `fired` over a partition of
-/// `0..driver_len(plan, sources)` therefore equals the sequential fired
-/// count, independent of how morsels are assigned to workers.
-pub fn for_each_head_morsel(
-    plan: &Plan,
-    head_args: &[Term],
-    sources: Sources<'_>,
-    adom: &[Value],
-    cache: &mut IndexCache,
-    morsel: Morsel,
-    on_tuple: &mut dyn FnMut(Tuple),
-) -> u64 {
-    let (lo, hi) = match morsel {
-        Morsel::Whole => return for_each_head(plan, head_args, sources, adom, cache, on_tuple),
-        Morsel::Rows { lo, hi } => (lo, hi),
-    };
-    let Some((
-        Step::Scan {
-            pred, args, source, ..
-        },
-        rest,
-    )) = plan.steps.split_first()
-    else {
-        unreachable!("row morsel for a plan without a driver scan");
-    };
-    let scan_instance = match source {
-        ScanSource::Full => sources.full,
-        ScanSource::Delta => sources.delta_from.unwrap_or(sources.full),
-    };
-    let Some(relation) = scan_instance.relation(*pred) else {
-        return 0; // absent relation = empty driver
-    };
-    let rows: Box<dyn Iterator<Item = &[Value]>> = match source {
-        ScanSource::Full => relation.iter_stored_range(lo, hi),
-        ScanSource::Delta => {
-            let mark = sources
-                .delta
-                .expect("delta plan run without delta marks")
-                .mark(*pred);
-            relation.iter_since_range(mark, lo, hi)
-        }
-    };
-    let mut env: Env = vec![None; plan.var_count];
-    let mut fired = 0u64;
-    let mut scanned = 0u64;
-    // The driver borrow comes from `sources`, not `cache`, so the row
-    // iterator can be held across the recursive `run_steps` calls — no
-    // buffering needed. At step 0 nothing is bound yet, so every
-    // position is handled right here: constants are checked, variables
-    // bound (with the repeated-variable check).
+/// The one binding routine: binds each row's non-key positions into
+/// `env` (checking repeated and already-bound variables) and runs `rest`
+/// for every row that agrees, undoing its bindings afterwards. Counts
+/// one probe and every row walked.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)]
+fn bind_rows<'r>(
+    rows: impl Iterator<Item = &'r [Value]>,
+    args: &[Term],
+    key: &[usize],
+    rest: &[Step],
+    ctx: Ctx<'_>,
+    worker: &mut Worker,
+    env: &mut Env,
+    on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    worker.counters.probes += 1;
+    let mut newly_bound: Vec<usize> = Vec::new();
+    let mut flow = ControlFlow::Continue(());
     'rows: for row in rows {
-        scanned += 1;
-        let mut newly_bound: Vec<usize> = Vec::new();
-        for (p, term) in args.iter().enumerate() {
-            match term {
-                Term::Const(_) => {
-                    if term_value(term, &env) != row[p] {
-                        for &b in &newly_bound {
-                            env[b] = None;
-                        }
-                        continue 'rows;
-                    }
-                }
-                Term::Var(v) => match env[v.index()] {
-                    Some(existing) => {
-                        if existing != row[p] {
-                            for &b in &newly_bound {
-                                env[b] = None;
-                            }
-                            continue 'rows;
-                        }
-                    }
-                    None => {
-                        env[v.index()] = Some(row[p]);
-                        newly_bound.push(v.index());
-                    }
-                },
-            }
-        }
-        let _ = run_steps(rest, sources, adom, cache, &mut env, &mut |env| {
-            fired += 1;
-            on_tuple(instantiate(head_args, env));
-            ControlFlow::Continue(())
-        });
+        worker.counters.probe_tuples += 1;
         for &b in &newly_bound {
             env[b] = None;
         }
+        newly_bound.clear();
+        for (p, term) in args.iter().enumerate() {
+            if key.contains(&p) {
+                continue;
+            }
+            let Term::Var(v) = term else {
+                unreachable!("constant positions are always key positions")
+            };
+            match env[v.index()] {
+                // Repeated or prebound variable mismatch.
+                Some(existing) if existing != row[p] => continue 'rows,
+                Some(_) => {}
+                None => {
+                    env[v.index()] = Some(row[p]);
+                    newly_bound.push(v.index());
+                }
+            }
+        }
+        if run_steps(rest, ctx, worker, env, on_match).is_break() {
+            flow = ControlFlow::Break(());
+            break;
+        }
     }
-    cache.counters.probes += 1;
-    cache.counters.probe_tuples += scanned;
-    fired
+    for &b in &newly_bound {
+        env[b] = None;
+    }
+    flow
 }
 
+#[allow(clippy::type_complexity)]
 fn run_steps(
     steps: &[Step],
-    sources: Sources<'_>,
-    adom: &[Value],
-    cache: &mut IndexCache,
+    ctx: Ctx<'_>,
+    worker: &mut Worker,
     env: &mut Env,
     on_match: &mut dyn FnMut(&Env) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
@@ -407,113 +541,58 @@ fn run_steps(
             key,
             source,
         } => {
-            let mark = match source {
-                ScanSource::Full => None,
-                ScanSource::Delta => Some(
-                    sources
-                        .delta
-                        .expect("delta plan run without delta marks")
-                        .mark(*pred),
-                ),
-            };
-            let scan_instance = match source {
-                ScanSource::Full => sources.full,
-                ScanSource::Delta => sources.delta_from.unwrap_or(sources.full),
-            };
-            let Some(relation) = scan_instance.relation(*pred) else {
+            if key.is_empty() {
+                return match ctx.rows(*pred, *source, 0, usize::MAX) {
+                    Some(rows) => bind_rows(rows, args, key, rest, ctx, worker, env, on_match),
+                    None => ControlFlow::Continue(()), // absent relation = empty
+                };
+            }
+            let Some(relation) = ctx.sources.relation(*pred, *source) else {
                 return ControlFlow::Continue(()); // absent relation = empty
             };
-            // Build the probe key (packed) from the bound positions.
-            let mut probe = cache.take_scratch();
+            let index = ctx
+                .cache
+                .index(*pred, key, *source, relation, &mut worker.counters);
+            // The probe key is only read to find the bucket, so the
+            // buffer is free again before the postings are walked.
+            let mut probe = std::mem::take(&mut worker.key);
+            probe.clear();
             probe.extend(key.iter().map(|&p| term_value(&args[p], env)));
-            // The borrow checker will not let us hold the index across the
-            // recursive call (which needs `cache`), so copy the matching
-            // rows into a pooled packed buffer. Buckets are typically
-            // small, and in steady state this allocates nothing.
-            let mut buf = cache.take_scratch();
-            let rows = {
-                let postings = cache.get(*pred, key, *source, relation, mark).probe(&probe);
-                let rows = postings.len();
-                for row in postings {
-                    buf.extend_from_slice(row);
-                }
-                rows
-            };
-            cache.counters.probes += 1;
-            cache.counters.probe_tuples += rows as u64;
-            let arity = args.len();
-            let mut flow = ControlFlow::Continue(());
-            'rows: for i in 0..rows {
-                let row = &buf[i * arity..i * arity + arity];
-                // Bind non-key positions, checking repeated variables.
-                let mut newly_bound: Vec<usize> = Vec::new();
-                for (p, term) in args.iter().enumerate() {
-                    if key.contains(&p) {
-                        continue;
-                    }
-                    let Term::Var(v) = term else {
-                        unreachable!("constant positions are always key positions")
-                    };
-                    match env[v.index()] {
-                        Some(existing) => {
-                            if existing != row[p] {
-                                // Repeated variable mismatch.
-                                for &b in &newly_bound {
-                                    env[b] = None;
-                                }
-                                continue 'rows;
-                            }
-                        }
-                        None => {
-                            env[v.index()] = Some(row[p]);
-                            newly_bound.push(v.index());
-                        }
-                    }
-                }
-                let f = run_steps(rest, sources, adom, cache, env, on_match);
-                for &b in &newly_bound {
-                    env[b] = None;
-                }
-                if f.is_break() {
-                    flow = ControlFlow::Break(());
-                    break 'rows;
-                }
-            }
-            cache.put_scratch(buf);
-            cache.put_scratch(probe);
-            flow
+            let postings = index.probe(&probe);
+            worker.key = probe;
+            bind_rows(postings, args, key, rest, ctx, worker, env, on_match)
         }
         Step::BindEq { var, term } => {
             let value = term_value(term, env);
             let prev = env[var.index()];
             env[var.index()] = Some(value);
-            let flow = run_steps(rest, sources, adom, cache, env, on_match);
+            let flow = run_steps(rest, ctx, worker, env, on_match);
             env[var.index()] = prev;
             flow
         }
         Step::Domain { var } => {
-            for &value in adom {
+            for &value in ctx.adom {
                 env[var.index()] = Some(value);
-                run_steps(rest, sources, adom, cache, env, on_match)?;
+                run_steps(rest, ctx, worker, env, on_match)?;
             }
             env[var.index()] = None;
             ControlFlow::Continue(())
         }
         Step::CheckNeg { pred, args } => {
             let tuple: Tuple = args.iter().map(|t| term_value(t, env)).collect();
-            let neg_instance = sources.neg.unwrap_or(sources.full);
+            let neg_instance = ctx.sources.neg.unwrap_or(ctx.sources.full);
             let present = neg_instance
                 .relation(*pred)
                 .is_some_and(|r| r.contains(&tuple));
             if present {
                 ControlFlow::Continue(())
             } else {
-                run_steps(rest, sources, adom, cache, env, on_match)
+                run_steps(rest, ctx, worker, env, on_match)
             }
         }
         Step::CheckCmp { left, right, equal } => {
             if (term_value(left, env) == term_value(right, env)) == *equal {
-                run_steps(rest, sources, adom, cache, env, on_match)
+                run_steps(rest, ctx, worker, env, on_match)
             } else {
                 ControlFlow::Continue(())
             }
@@ -526,6 +605,22 @@ mod tests {
     use super::*;
     use unchained_common::Interner;
 
+    /// Prepares one index and probes it once, as a keyed scan's run
+    /// would, folding the work into `cache.counters`.
+    fn get<'c>(
+        cache: &'c mut IndexCache,
+        pred: Symbol,
+        source: ScanSource,
+        rel: &'c Relation,
+        mark: Option<Generation>,
+    ) -> &'c Index {
+        cache.refresh(pred, &[0], source, (rel.generation(), mark));
+        let mut counters = JoinCounters::default();
+        cache.index(pred, &[0], source, rel, &mut counters);
+        cache.counters.absorb(&counters);
+        cache.index(pred, &[0], source, rel, &mut counters)
+    }
+
     #[test]
     fn index_cache_absorbs_growth_instead_of_rebuilding() {
         let mut interner = Interner::new();
@@ -535,22 +630,20 @@ mod tests {
         rel.commit();
         let mut cache = IndexCache::new();
         assert_eq!(
-            cache
-                .get(g, &[0], ScanSource::Full, &rel, None)
+            get(&mut cache, g, ScanSource::Full, &rel, None)
                 .probe(&[Value::Int(1)])
                 .len(),
             1
         );
         assert_eq!(cache.counters.index_builds, 1);
         // Unchanged relation: a cache hit, no index work.
-        let _ = cache.get(g, &[0], ScanSource::Full, &rel, None);
+        let _ = get(&mut cache, g, ScanSource::Full, &rel, None);
         assert_eq!(cache.counters.index_hits, 1);
         // Growth (including across a commit) is absorbed incrementally.
         rel.insert(Tuple::from([Value::Int(2)]));
         rel.commit();
         assert_eq!(
-            cache
-                .get(g, &[0], ScanSource::Full, &rel, None)
+            get(&mut cache, g, ScanSource::Full, &rel, None)
                 .probe(&[Value::Int(2)])
                 .len(),
             1
@@ -561,8 +654,7 @@ mod tests {
         // A removal breaks the lineage and forces a rebuild.
         rel.remove(&Tuple::from([Value::Int(1)]));
         assert_eq!(
-            cache
-                .get(g, &[0], ScanSource::Full, &rel, None)
+            get(&mut cache, g, ScanSource::Full, &rel, None)
                 .probe(&[Value::Int(1)])
                 .len(),
             0
@@ -581,7 +673,7 @@ mod tests {
         rel.insert(Tuple::from([Value::Int(2)]));
         rel.commit();
         let mut cache = IndexCache::new();
-        let idx = cache.get(g, &[0], ScanSource::Delta, &rel, Some(mark));
+        let idx = get(&mut cache, g, ScanSource::Delta, &rel, Some(mark));
         assert_eq!(idx.probe(&[Value::Int(1)]).len(), 0);
         assert_eq!(idx.probe(&[Value::Int(2)]).len(), 1);
         assert_eq!(cache.counters.index_builds, 1);

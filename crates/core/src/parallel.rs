@@ -1,39 +1,47 @@
-//! Morsel-driven parallel round execution for the semi-naive hot path.
+//! Morsel-driven round execution: the one driver every semi-naive
+//! round runs through, at any thread count.
 //!
 //! One fixpoint round — "fire these plans against this frozen instance
 //! and collect the derived tuples" — is embarrassingly parallel once the
 //! storage is `Sync`: the instance is only read, and each derived tuple
-//! goes to a private per-worker buffer. Workers are `std::thread::scope`
-//! threads (no runtime, no channels, zero dependencies), one per
-//! requested thread, each owning a long-lived [`IndexCache`] so
-//! full-relation indexes absorb committed segments incrementally across
-//! rounds exactly as in the sequential path.
+//! goes to a private per-worker buffer. [`run_round`] prepares the one
+//! [`IndexCache`] of the evaluation for the round's plans, and workers
+//! then share it by reference: each index a keyed scan probes is made
+//! current once per round, by the first probe that needs it, and
+//! workers keep only their join counters and probe-key buffer to
+//! themselves. With one worker the loop runs inline on the calling
+//! thread; with more, workers are `std::thread::scope` threads (no
+//! runtime, no channels, zero dependencies).
 //!
-//! Work is split into **morsels**: fixed-size contiguous row ranges of
-//! each plan's driver scan (its first step — the stored enumeration of a
-//! full scan, or the exact delta enumeration of a semi-naive delta
-//! variant). The morsel list is built deterministically, task-major,
-//! before any worker starts; workers then *pull* morsels from a shared
-//! atomic cursor until the queue is drained, so a worker stuck on a
-//! skewed morsel no longer idles the rest of the round (the failure mode
-//! of static striping). Plans whose first step is not a scan get a
-//! single whole-plan morsel.
+//! Work is split into **morsels**: fixed-size contiguous ranges of
+//! physical storage rows of each plan's driver scan (its first step, when
+//! that scan has no key columns — the stored rows of a full scan, or the
+//! delta rows of a semi-naive delta variant; tombstoned rows are skipped
+//! inside the morsel). The morsel list is built deterministically,
+//! task-major, before any worker starts; workers then *pull* morsels
+//! from a shared atomic cursor until the queue is drained, so a worker
+//! stuck on a skewed morsel does not idle the rest of the round. Plans
+//! that do not start with an unkeyed scan get a single whole-plan
+//! morsel.
 //!
 //! Determinism does not depend on the schedule: the morsel *partition*
 //! is fixed up front, every match of a plan consumes exactly one driver
 //! row, and the morsels partition each driver enumeration exactly — so
-//! the union of per-morsel match sets and the per-rule fired sums equal
-//! the sequential round's, no matter which worker ran which morsel.
-//! Per-worker buffers are merged in worker order into a set, so the
+//! the union of per-morsel match sets, the per-rule fired sums and the
+//! probe counts are the same for every worker count, and so is the
+//! index work, done once per round per index whichever worker triggers
+//! it. Per-worker buffers are merged in worker order into a set, so the
 //! resulting round delta — and therefore every subsequent round, the
-//! final instance, and its display — is byte-identical to the
-//! sequential evaluation for any thread count and any morsel size.
+//! final instance, and its display — is byte-identical for any thread
+//! count and any morsel size.
 
-use crate::exec::{driver_len, for_each_head_morsel, IndexCache, Morsel, Sources};
+use crate::exec::{driver_len, execute, Ctx, IndexCache, Morsel, Sources, Worker};
 use crate::ir::Plan;
+use crate::subst::instantiate;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-use unchained_common::{DeltaHandle, Instance, Value};
+use unchained_common::{Instance, Value};
 use unchained_parser::Atom;
 
 /// One unit of round work: a compiled plan and the head it derives into.
@@ -57,9 +65,15 @@ pub(crate) struct RoundStats {
     /// the morsel partition of each driver enumeration is fixed before
     /// the workers start, and fired counts sum over the partition.
     pub fired_per_rule: Vec<u64>,
+    /// Per-rule `(start_offset_nanos, dur_nanos)` relative to round
+    /// entry, measured when one worker runs the round (its morsels run
+    /// rule by rule). Empty with several workers, whose rule work
+    /// interleaves across lanes, or when `timed` was false.
+    pub rules: Vec<(u64, u64)>,
     /// Per-worker `(start_offset_nanos, dur_nanos)` relative to round
-    /// entry — the worker-lane timeline. One entry per worker (also for
-    /// workers that pulled no morsels). Empty when `timed` was false.
+    /// entry — the worker-lane timeline of a round run by several
+    /// workers, one entry per worker (also for workers that pulled no
+    /// morsels). Empty with one worker or when `timed` was false.
     pub workers: Vec<(u64, u64)>,
 }
 
@@ -91,105 +105,113 @@ fn build_morsels(
     morsels
 }
 
-/// Runs one round's `tasks` across `worker_caches.len()` scoped threads
-/// and merges the per-worker derived-tuple buffers in worker order.
-/// The round's work is cut into driver-row morsels of at most
-/// `morsel_size` rows (see the module docs) which workers pull from a
-/// shared queue. `rules` bounds the rule indexes in `tasks`; `timed`
-/// additionally records per-worker wall offsets (for worker-lane
-/// spans). Returns the merged pending instance (deduplicated against
-/// `instance` by the workers) and the round's attribution stats.
+/// What one worker hands back: derived tuples, its join counters,
+/// fired counts per rule, per-rule times and its own lane.
+type WorkerResult = (Instance, Worker, Vec<u64>, Vec<(u64, u64)>, (u64, u64));
+
+/// Runs one round's `tasks` against `sources` on `workers` workers and
+/// merges their derived-tuple buffers in worker order. The round's work
+/// is cut into driver-row morsels of at most `morsel_size` rows (see the
+/// module docs) which workers pull from a shared queue; `cache` is
+/// prepared for the round's plans before they start, and their join
+/// counters are added to `cache.counters` after they finish. `rules`
+/// bounds the rule indexes in `tasks`; `timed` additionally records
+/// per-rule or per-worker wall offsets (for rule and worker-lane spans).
+/// Returns the merged pending instance (deduplicated against
+/// `sources.full` by the workers) and the round's attribution stats.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_round(
     tasks: &[PlanTask<'_>],
-    instance: &Instance,
-    delta: Option<&DeltaHandle>,
+    sources: Sources<'_>,
     adom: &[Value],
-    worker_caches: &mut [IndexCache],
+    cache: &mut IndexCache,
+    workers: usize,
     morsel_size: usize,
     rules: usize,
     timed: bool,
 ) -> (Instance, RoundStats) {
     let round_start = Instant::now();
-    let sources = Sources {
-        full: instance,
-        delta,
-        neg: None,
-        delta_from: None,
-    };
     let morsels = build_morsels(tasks, sources, morsel_size);
+    for task in tasks {
+        cache.prepare(task.plan, sources);
+    }
     let cursor = AtomicUsize::new(0);
-    type WorkerResult = (Instance, Vec<u64>, (u64, u64));
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = worker_caches
-            .iter_mut()
-            .map(|cache| {
-                let cursor = &cursor;
-                let morsels = &morsels;
-                scope.spawn(move || {
-                    let started = if timed {
-                        u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-                    } else {
-                        0
-                    };
-                    let mut fired_per_rule = vec![0u64; rules];
-                    let mut pending = Instance::new();
-                    loop {
-                        let m = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(t, morsel)) = morsels.get(m) else {
-                            break;
-                        };
-                        let task = &tasks[t];
-                        let fired = for_each_head_morsel(
-                            task.plan,
-                            &task.head.args,
-                            sources,
-                            adom,
-                            cache,
-                            morsel,
-                            &mut |tuple| {
-                                if !instance.contains_fact(task.head.pred, &tuple)
-                                    && !pending.contains_fact(task.head.pred, &tuple)
-                                {
-                                    pending.insert_fact(task.head.pred, tuple);
-                                }
-                            },
-                        );
-                        fired_per_rule[task.rule] += fired;
-                    }
-                    let timing = if timed {
-                        let ended =
-                            u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        (started, ended.saturating_sub(started))
-                    } else {
-                        (0, 0)
-                    };
-                    (pending, fired_per_rule, timing)
-                })
-            })
-            .collect();
-        handles
+    let ctx = Ctx {
+        sources,
+        adom,
+        cache: &*cache,
+    };
+    let offset = || {
+        if timed {
+            u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        } else {
+            0
+        }
+    };
+    let work = || -> WorkerResult {
+        let started = offset();
+        let mut worker = Worker::default();
+        let mut fired_per_rule = vec![0u64; rules];
+        let mut rule_times: Vec<Option<(u64, u64)>> = vec![None; rules];
+        let mut pending = Instance::new();
+        while let Some(&(t, morsel)) = morsels.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let task = &tasks[t];
+            let morsel_start = offset();
+            let mut env = vec![None; task.plan.var_count];
+            let _ = execute(task.plan, ctx, &mut worker, morsel, &mut env, &mut |env| {
+                fired_per_rule[task.rule] += 1;
+                let tuple = instantiate(&task.head.args, env);
+                if !sources.full.contains_fact(task.head.pred, &tuple)
+                    && !pending.contains_fact(task.head.pred, &tuple)
+                {
+                    pending.insert_fact(task.head.pred, tuple);
+                }
+                ControlFlow::Continue(())
+            });
+            let (_, dur) = rule_times[task.rule].get_or_insert((morsel_start, 0));
+            *dur += offset().saturating_sub(morsel_start);
+        }
+        let rule_times = rule_times
             .into_iter()
-            .map(|h| h.join().expect("parallel round worker panicked"))
-            .collect()
-    });
+            .map(|t| t.unwrap_or_default())
+            .collect();
+        let lane = (started, offset().saturating_sub(started));
+        (pending, worker, fired_per_rule, rule_times, lane)
+    };
+    let results: Vec<WorkerResult> = if workers <= 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("round worker panicked"))
+                .collect()
+        })
+    };
 
+    let several = results.len() > 1;
     let mut stats = RoundStats {
         fired_total: 0,
         fired_per_rule: vec![0u64; rules],
+        rules: Vec::new(),
         workers: Vec::new(),
     };
     let mut merged = Instance::new();
     // Reuse the first worker's buffer as the merge target: with one
-    // worker this is exactly the sequential pending set, and with more
-    // the remaining (typically small) buffers fold into it in order.
-    for (w, (pending, fired_per_rule, timing)) in results.into_iter().enumerate() {
+    // worker this is the whole pending set, and with more the remaining
+    // (typically small) buffers fold into it in order.
+    for (w, (pending, worker, fired_per_rule, rule_times, lane)) in results.into_iter().enumerate()
+    {
+        cache.counters.absorb(&worker.counters);
         for (rule, f) in fired_per_rule.into_iter().enumerate() {
             stats.fired_per_rule[rule] += f;
             stats.fired_total += f;
         }
-        if timed {
-            stats.workers.push(timing);
+        if timed && several {
+            stats.workers.push(lane);
+        } else if timed {
+            stats.rules = rule_times;
         }
         if w == 0 {
             merged = pending;
@@ -209,7 +231,7 @@ mod tests {
     use super::*;
     use crate::planner::{plan_rule, Catalog, PlanMode, Planner};
     use crate::subst::active_domain;
-    use unchained_common::{FxHashSet, Interner, Symbol, Tuple};
+    use unchained_common::{DeltaHandle, FxHashSet, Interner, Symbol, Tuple};
     use unchained_parser::{parse_program, HeadLiteral};
 
     fn tc_setup(n: i64) -> (Interner, unchained_parser::Program, Instance) {
@@ -255,22 +277,37 @@ mod tests {
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
         let tasks = full_tasks(&p, &plans);
         let rules = p.rules.len();
-        let mut one = vec![IndexCache::new()];
-        let (seq, seq_stats) = run_round(&tasks, &inst, None, &adom, &mut one, 1024, rules, false);
+        let sources = Sources::simple(&inst);
+        let mut one = IndexCache::new();
+        let (seq, seq_stats) = run_round(&tasks, sources, &adom, &mut one, 1, 1024, rules, false);
         for (workers, morsel_size) in [(4, 1024), (4, 1), (3, 2), (16, 4)] {
-            let mut caches: Vec<IndexCache> = (0..workers).map(|_| IndexCache::new()).collect();
+            let mut seq_cache = IndexCache::new();
+            let _ = run_round(
+                &tasks,
+                sources,
+                &adom,
+                &mut seq_cache,
+                1,
+                morsel_size,
+                rules,
+                false,
+            );
+            let mut cache = IndexCache::new();
             let (par, par_stats) = run_round(
                 &tasks,
-                &inst,
-                None,
+                sources,
                 &adom,
-                &mut caches,
+                &mut cache,
+                workers,
                 morsel_size,
                 rules,
                 true,
             );
             assert!(seq.same_facts(&par), "workers={workers} size={morsel_size}");
             assert_eq!(seq_stats.fired_total, par_stats.fired_total);
+            // One shared cache: the join counters do not depend on the
+            // worker count either.
+            assert_eq!(seq_cache.counters, cache.counters);
             // Per-rule attribution is schedule-invariant; worker
             // timings appear only on the timed run, one per worker
             // even when a worker pulled no morsels.
@@ -316,25 +353,23 @@ mod tests {
             .collect();
         assert!(!tasks.is_empty());
         let rules = p.rules.len();
-        let mut one = vec![IndexCache::new()];
-        let (seq, seq_stats) = run_round(
-            &tasks,
-            &inst,
-            Some(&mark),
-            &adom_of(&inst),
-            &mut one,
-            1024,
-            rules,
-            false,
-        );
+        let sources = Sources {
+            full: &inst,
+            delta: Some(&mark),
+            neg: None,
+            delta_from: None,
+        };
+        let adom = adom_of(&inst);
+        let mut one = IndexCache::new();
+        let (seq, seq_stats) = run_round(&tasks, sources, &adom, &mut one, 1, 1024, rules, false);
         for (workers, morsel_size) in [(2, 3), (3, 1), (4, 2), (4, 1024)] {
-            let mut caches: Vec<IndexCache> = (0..workers).map(|_| IndexCache::new()).collect();
+            let mut cache = IndexCache::new();
             let (par, par_stats) = run_round(
                 &tasks,
-                &inst,
-                Some(&mark),
-                &adom_of(&inst),
-                &mut caches,
+                sources,
+                &adom,
+                &mut cache,
+                workers,
                 morsel_size,
                 rules,
                 false,
@@ -361,14 +396,15 @@ mod tests {
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
         let tasks = full_tasks(&p, &plans);
         let rules = p.rules.len();
-        let mut caches: Vec<IndexCache> = (0..4).map(|_| IndexCache::new()).collect();
-        let (merged, stats) = run_round(&tasks, &inst, None, &adom, &mut caches, 8, rules, true);
+        let sources = Sources::simple(&inst);
+        let mut cache = IndexCache::new();
+        let (merged, stats) = run_round(&tasks, sources, &adom, &mut cache, 4, 8, rules, true);
         assert_eq!(merged.fact_count(), 0);
         assert_eq!(stats.fired_total, 0);
         assert_eq!(stats.workers.len(), 4);
 
         // Entirely taskless round.
-        let (merged, stats) = run_round(&[], &inst, None, &adom, &mut caches, 8, 0, true);
+        let (merged, stats) = run_round(&[], sources, &adom, &mut cache, 4, 8, 0, true);
         assert_eq!(merged.fact_count(), 0);
         assert_eq!(stats.fired_total, 0);
         assert_eq!(stats.workers.len(), 4);
@@ -380,12 +416,7 @@ mod tests {
         let (_, p, inst) = tc_setup(7); // G has 7 rows; T absent (empty driver)
         let plans: Vec<Plan> = p.rules.iter().map(plan_rule).collect();
         let tasks = full_tasks(&p, &plans);
-        let sources = Sources {
-            full: &inst,
-            delta: None,
-            neg: None,
-            delta_from: None,
-        };
+        let sources = Sources::simple(&inst);
         let morsels = build_morsels(&tasks, sources, 3);
         // Each task's driver is G (7 rows) or T (absent): the G-driven
         // task splits 7 rows into ceil(7/3) = 3 ranges; absent drivers

@@ -314,7 +314,8 @@ fn eval_trace_stages_are_identical_at_threads_1_and_7() {
     assert_eq!(trace1.engine, trace7.engine);
     assert_eq!(trace1.stages.len(), trace7.stages.len());
     // The deterministic projection of every stage record: everything
-    // except wall clocks and worker-local join-cache counters.
+    // except wall clocks. Join counters included: all workers share one
+    // index cache, prepared before they start.
     for (s1, s7) in trace1.stages.iter().zip(&trace7.stages) {
         assert_eq!(s1.stage, s7.stage);
         assert_eq!(s1.facts_added, s7.facts_added, "stage {}", s1.stage);
@@ -322,8 +323,10 @@ fn eval_trace_stages_are_identical_at_threads_1_and_7() {
         assert_eq!(s1.rules_fired, s7.rules_fired, "stage {}", s1.stage);
         assert_eq!(s1.delta, s7.delta, "stage {}", s1.stage);
         assert_eq!(s1.bytes, s7.bytes, "stage {}", s1.stage);
+        assert_eq!(s1.joins, s7.joins, "stage {}", s1.stage);
     }
     // Run-level gauges, same projection.
+    assert_eq!(trace1.joins, trace7.joins);
     assert_eq!(trace1.peak_facts, trace7.peak_facts);
     assert_eq!(trace1.final_facts, trace7.final_facts);
     assert_eq!(trace1.bytes_peak, trace7.bytes_peak);

@@ -5,7 +5,7 @@
 use crate::ast::{HeadLiteral, Literal, Program, Rule, Term, Var};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use unchained_common::Symbol;
+use unchained_common::{Interner, Symbol};
 
 /// An analysis error (program rejected by a language's syntactic
 /// conditions).
@@ -60,13 +60,28 @@ impl fmt::Display for AnalysisError {
                 f,
                 "rule {rule}: universally quantified variable `{var}` occurs in the head"
             ),
-            AnalysisError::NotStratifiable { witness } => write!(
-                f,
-                "program is not stratifiable (recursion through negation involving {witness:?})"
-            ),
+            AnalysisError::NotStratifiable { witness } => {
+                f.write_str(&not_stratifiable(format_args!("{witness:?}")))
+            }
             AnalysisError::ArityConflict(c) => write!(f, "{c}"),
         }
     }
+}
+
+impl AnalysisError {
+    /// The `Display` message with predicates named through `interner`
+    /// instead of by symbol id.
+    pub fn render(&self, interner: &Interner) -> String {
+        match self {
+            AnalysisError::NotStratifiable { witness } => not_stratifiable(interner.name(*witness)),
+            AnalysisError::ArityConflict(c) => c.render(interner),
+            other => other.to_string(),
+        }
+    }
+}
+
+fn not_stratifiable(witness: impl fmt::Display) -> String {
+    format!("program is not stratifiable (recursion through negation involving {witness})")
 }
 
 impl std::error::Error for AnalysisError {}

@@ -350,6 +350,19 @@ pub fn parse_facts(src: &str, interner: &mut Interner) -> Result<Instance, Parse
                         }
                     }
                 }
+                if let Some(rel) = instance.relation(atom.pred) {
+                    if rel.arity() != values.len() {
+                        return Err(ParseError {
+                            message: format!(
+                                "relation `{}` has facts of arity {} and of arity {}",
+                                interner.name(atom.pred),
+                                rel.arity(),
+                                values.len()
+                            ),
+                            pos: Pos { line: 1, col: 1 },
+                        });
+                    }
+                }
                 instance.insert_fact(atom.pred, Tuple::from(values));
             }
             _ => {

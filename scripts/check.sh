@@ -226,9 +226,11 @@ fi
 # Columnar/morsel gate 2: one full-size scale workload (Andersen
 # points-to, 4.4e5-fact EDB) through the bench harness at one timed
 # repetition. The thread-scaling rows must report byte-identical work
-# gauges (facts, stages, rules fired) — the morsel scheduler is only
-# allowed to change wall time — and the parallel wall time must stay
-# within the same order of magnitude as sequential (this container is
+# gauges: facts, stages and rules fired, and the index work (indexed
+# and appended tuples, probes), since all workers share one index cache
+# that builds each index once per round. The morsel scheduler is only allowed to
+# change wall time, and the parallel wall time must stay within the
+# same order of magnitude as sequential (this container is
 # single-core, so parallel rows are legitimately slower, never faster;
 # the gate catches pathological blowups, not missing speedups).
 echo "==> bench smoke: scale_pointsto work-gauge equality seq vs parallel"
@@ -247,10 +249,14 @@ for t in 2 4 8; do
         echo "scale_pointsto threads:$t row missing from bench smoke" >&2
         exit 1
     fi
-    if [ "$(pick "$scale_seq" facts_derived)" != "$(pick "$scale_par" facts_derived)" ] \
-        || [ "$(pick "$scale_seq" stages)" != "$(pick "$scale_par" stages)" ] \
-        || [ "$(pick "$scale_seq" rules_fired)" != "$(pick "$scale_par" rules_fired)" ]; then
-        echo "scale_pointsto threads:$t row drifted from sequential work gauges" >&2
+    drifted=""
+    for gauge in facts_derived stages rules_fired indexed_tuples appended_tuples probes; do
+        if [ "$(pick "$scale_seq" $gauge)" != "$(pick "$scale_par" $gauge)" ]; then
+            drifted="$drifted $gauge"
+        fi
+    done
+    if [ -n "$drifted" ]; then
+        echo "scale_pointsto threads:$t row drifted from sequential work gauges:$drifted" >&2
         echo "  seq: $scale_seq" >&2
         echo "  par: $scale_par" >&2
         exit 1
