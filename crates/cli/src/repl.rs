@@ -328,7 +328,7 @@ impl Repl {
                 "queued {verb} {fact} ({} pending; `.poll` applies)\n",
                 session.pending_edits()
             ),
-            Err(e) => format!("error: {}\n", e.render(&self.interner)),
+            Err(e) => format!("error: {fact}: {}\n", e.render(&self.interner)),
         }
     }
 
@@ -348,7 +348,8 @@ impl Repl {
         self.database = session.edb().clone();
         format!(
             "applied {} edit(s): +{} −{} facts (overdeleted {}, rederived {}, \
-             strata {} skipped / {} recomputed); {} facts total\n",
+             strata {} skipped / {} recomputed, {} indexed tuples, {} probes); \
+             {} facts total\n",
             stats.applied,
             stats.facts_added,
             stats.facts_removed,
@@ -356,6 +357,8 @@ impl Repl {
             stats.rederived,
             stats.strata_skipped,
             stats.strata_recomputed,
+            stats.joins.indexed_tuples,
+            stats.joins.probes,
             session.instance().fact_count()
         )
     }
@@ -664,12 +667,14 @@ mod tests {
         feed_ok(&mut repl, ".retract G(1,2).");
         let out = feed_ok(&mut repl, ".poll");
         assert!(out.contains("overdeleted"), "{out}");
+        assert!(out.contains(" indexed tuples, "), "{out}");
+        assert!(out.contains(" probes); "), "{out}");
         let out = feed_ok(&mut repl, "? T");
         assert!(!out.contains("T(1, 2)"), "{out}");
         assert!(out.contains("T(2, 4)"), "{out}");
         // Edits must be validated: idb target, non-ground, empty arg.
         let out = feed_ok(&mut repl, ".insert T(9,9).");
-        assert!(out.contains("error"), "{out}");
+        assert!(out.contains("error: T(9, 9): "), "{out}");
         let out = feed_ok(&mut repl, ".insert");
         assert!(out.contains("usage"), "{out}");
         let out = feed_ok(&mut repl, ".retract G(x,1).");

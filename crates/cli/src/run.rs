@@ -348,12 +348,14 @@ pub fn execute_ivm(
             let _ = write!(
                 out,
                 " (overdeleted {}, rederived {}, strata {} skipped / {} recomputed, \
-                 {} rules fired)",
+                 {} rules fired, {} indexed tuples, {} probes)",
                 st.overdeleted,
                 st.rederived,
                 st.strata_skipped,
                 st.strata_recomputed,
-                st.rules_fired
+                st.rules_fired,
+                st.joins.indexed_tuples,
+                st.joins.probes
             );
         }
         out.push('\n');
@@ -385,7 +387,13 @@ pub fn execute_ivm(
         } else {
             session.retract(pred, tuple)
         };
-        queued.map_err(|e| located(e.render(&interner)))?;
+        queued.map_err(|e| {
+            located(format!(
+                "relation {}: {}",
+                interner.name(pred),
+                e.render(&interner)
+            ))
+        })?;
     }
     if session.pending_edits() > 0 {
         poll(&mut session, &mut out, &interner)?;
@@ -603,21 +611,21 @@ fn evaluate(
             })
             .map_err(|e| e.render(interner)),
         Semantics::Nondet => {
-            let compiled = NondetProgram::compile(program, true).map_err(|e| e.to_string())?;
+            let compiled = NondetProgram::compile(program, true).map_err(|e| e.render(interner))?;
             let mut chooser = RandomChooser::seeded(seed);
             unchained_nondet::run_once(&compiled, input, &mut chooser, options)
                 .map(|r| Answer::Instance(r.instance, r.steps))
-                .map_err(|e| e.to_string())
+                .map_err(|e| e.render(interner))
         }
         Semantics::WhileLang => {
             unreachable!("WhileLang is handled before Datalog parsing in execute()")
         }
         Semantics::Effect => {
-            let compiled = NondetProgram::compile(program, true).map_err(|e| e.to_string())?;
+            let compiled = NondetProgram::compile(program, true).map_err(|e| e.render(interner))?;
             let effects =
-                effect(&compiled, input, EffOptions::default()).map_err(|e| e.to_string())?;
-            let pc =
-                poss_cert(&compiled, input, EffOptions::default()).map_err(|e| e.to_string())?;
+                effect(&compiled, input, EffOptions::default()).map_err(|e| e.render(interner))?;
+            let pc = poss_cert(&compiled, input, EffOptions::default())
+                .map_err(|e| e.render(interner))?;
             Ok(Answer::Effects {
                 effects,
                 poss: pc.poss,

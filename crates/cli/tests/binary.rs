@@ -102,6 +102,61 @@ fn errors_name_predicates_not_symbol_ids() {
 }
 
 #[test]
+fn nondet_engines_reject_a_relation_used_at_two_arities() {
+    for semantics in ["nondet", "effect"] {
+        let (code, stderr) = run_failing(
+            &format!("two_arity_heads_{semantics}"),
+            semantics,
+            "P(x) :- Q(x).\nP(x,y) :- Q(x), Q(y).\n",
+            "Q(1).\n",
+        );
+        assert_eq!(code, 1, "{semantics}: {stderr}");
+        assert!(
+            stderr.contains("relation P declared with arity 1 but used with arity 2"),
+            "{semantics}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{semantics}: {stderr}");
+    }
+}
+
+#[test]
+fn ivm_rejects_an_unknown_relation_edited_at_two_arities() {
+    let prog = write_temp("ivm_two_arities.dl", "T(x,y) :- G(x,y).\n");
+    let edits = write_temp("ivm_two_arities.edits", "+H(1).\n+H(1,2).\npoll\n");
+    let out = bin().arg("ivm").arg(&prog).arg(&edits).output().unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
+    assert!(stderr.contains("relation H"), "{stderr}");
+    assert!(stderr.contains("arity mismatch"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn ivm_stats_report_the_index_work_of_each_poll() {
+    let prog = write_temp(
+        "ivm_stats.dl",
+        "T(x,y) :- G(x,y).\nT(x,y) :- G(x,z), T(z,y).\n",
+    );
+    let facts = write_temp("ivm_stats_facts.dl", "G(1,2). G(2,3).\n");
+    let edits = write_temp("ivm_stats.edits", "-G(2,3).\npoll\n");
+    let out = bin()
+        .arg("ivm")
+        .arg(&prog)
+        .arg(&edits)
+        .arg(&facts)
+        .arg("--stats")
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let poll = stdout.lines().find(|l| l.starts_with("% poll 1:")).unwrap();
+    assert!(poll.contains("overdeleted 2"), "{poll}");
+    assert!(poll.contains(" indexed tuples, "), "{poll}");
+    assert!(poll.ends_with(" probes)"), "{poll}");
+}
+
+#[test]
 fn check_prints_analysis() {
     let prog = write_temp("win.dl", "win(x) :- moves(x,y), !win(y).\n");
     let out = bin().arg("check").arg(&prog).output().unwrap();

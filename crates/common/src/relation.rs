@@ -267,7 +267,9 @@ impl Relation {
     /// Moves this relation to a fresh epoch if a live clone might still
     /// share the current one. Must be called before any mutation so that
     /// generations captured from sibling clones stop matching this storage.
-    fn fork_epoch_if_shared(&mut self) {
+    /// The owner of a long-lived clone may call it up front, so that its
+    /// first mutation does not fork the epoch under indexes already built.
+    pub fn fork_epoch_if_shared(&mut self) {
         if Arc::strong_count(&self.epoch_token) > 1 {
             self.epoch_token = Arc::new(());
             self.epoch = next_epoch();

@@ -3,30 +3,36 @@
 //! insert/retract batches on the EDB instead of recomputing from
 //! scratch.
 //!
-//! Inserts propagate through the same semi-naive Δ-variant plans the
-//! batch engines use, driven over a scratch change set via
-//! [`Sources::delta_from`]. Deletes use DRed-style maintenance: an
-//! *overdelete* pass computes an overestimate of the tuples whose
-//! support may be gone (Δ plans over the deleted set, every other
-//! literal pinned to the pre-update fixpoint), then a *rederive* pass
-//! restores each withdrawn tuple that still has alternative support in
-//! the new state, queried through bound-head plans whose head variables
-//! become index probe keys. Strata without same-stratum positive
-//! dependencies additionally keep lazy support counts: a deletion that
-//! leaves a positive stored count is absorbed without any support
-//! query. Stored counts only ever *under*-estimate the true number of
-//! derivations (Δ-matches over-count lost derivations, and new support
-//! merely invalidates), so a non-positive count conservatively falls
-//! back to an exact recount — see DESIGN.md § Incremental maintenance
-//! for why this is safe exactly there and not under recursion.
+//! A poll updates the one maintained instance in place, through the
+//! session's one [`IndexCache`], in the three steps of DRed (Gupta,
+//! Mumick & Subrahmanian, SIGMOD 1993):
 //!
-//! Two changes force a stratum back onto the batch path ([`PollStats::
-//! strata_recomputed`]): a change to a negated predicate (deletion
-//! under negation can *grow* the stratum, which Δ plans over positive
-//! literals cannot see), and an active-domain change under a rule with
-//! a variable not bound by any positive literal (its `Domain` steps
-//! enumerate the adom). Both recompute the stratum from scratch and
-//! diff, so downstream strata still see a minimal change set.
+//! 1. *Overdelete* bottom-up against the untouched instance, which is
+//!    the pre-update fixpoint: Δ-variant plans driven over the swept set
+//!    ([`Sources::delta_from`]), the EDB retractions plus everything the
+//!    strata below may have lost. Strata that read their own heads
+//!    positively close this over them; the others decrement lazy support
+//!    counts instead, and a tuple whose count stays positive is kept
+//!    without any support query.
+//! 2. *Apply* the EDB net change, computed from the queued edits in
+//!    O(edits), and withdraw the overdeleted tuples as tombstones.
+//! 3. Stratum by stratum against the new state: *rederive* withdrawn
+//!    tuples that still have support (bound-head plans probe on the head
+//!    bindings) or *recount* counted candidates exactly, then run the
+//!    semi-naive *insert* closure over the net additions below.
+//!
+//! Stored counts only ever *under*-estimate the true number of
+//! derivations, so a non-positive count falls back to an exact recount —
+//! see DESIGN.md § Incremental maintenance for why this is safe exactly
+//! there and not under recursion.
+//!
+//! Three changes force a stratum back onto the batch path ([`PollStats::
+//! strata_recomputed`]): a net change to a negated predicate, an
+//! active-domain change under a rule whose `Domain` steps enumerate the
+//! adom, and a positive read of facts that a recomputed stratum below
+//! lost without step 1 having swept them. A recomputed stratum diffs its
+//! new heads against its old ones, so the strata above still see an
+//! exact change set.
 
 use std::ops::ControlFlow;
 
@@ -39,19 +45,20 @@ use crate::require_language;
 use crate::seminaive::seminaive_fixpoint;
 use crate::subst::{active_domain, Env};
 use unchained_common::{
-    DeltaHandle, FxHashMap, FxHashSet, HeapSize, Instance, JoinCounters, Schema, Symbol, Tuple,
-    Value,
+    DeltaHandle, FxHashMap, FxHashSet, HeapSize, Instance, JoinCounters, Relation, Schema, Symbol,
+    Tuple, Value,
 };
 use unchained_parser::{
     check_range_restricted, Atom, DependencyGraph, HeadLiteral, Language, Literal, Program, Rule,
-    Stratification, Var,
+    Var,
 };
 
 /// One queued EDB edit.
 #[derive(Clone, Debug)]
-enum Edit {
-    Insert(Symbol, Tuple),
-    Retract(Symbol, Tuple),
+struct Edit {
+    pred: Symbol,
+    tuple: Tuple,
+    insert: bool,
 }
 
 /// Deterministic work gauges for one [`IncrementalSession::poll`].
@@ -74,7 +81,7 @@ pub struct PollStats {
     /// Strata skipped because nothing they read changed.
     pub strata_skipped: u64,
     /// Strata recomputed from scratch (negated input or active domain
-    /// changed).
+    /// changed, or a recomputed stratum below lost facts they read).
     pub strata_recomputed: u64,
     /// Satisfying valuations enumerated by Δ-variant and support plans
     /// (join-order invariant, like the batch engines' gauge; fallback
@@ -83,6 +90,29 @@ pub struct PollStats {
     pub rules_fired: u64,
     /// Join work across every phase of the poll.
     pub joins: JoinCounters,
+}
+
+/// What a poll needs to know about one stratum, fixed at construction.
+#[derive(Default)]
+struct Stratum {
+    /// Indices of the stratum's rules in `program.rules`.
+    rules: Vec<usize>,
+    heads: FxHashSet<Symbol>,
+    /// Predicates some rule of the stratum reads positively.
+    pos: FxHashSet<Symbol>,
+    /// Predicates some rule of the stratum reads negatively.
+    neg: FxHashSet<Symbol>,
+    /// Some rule has a variable outside every positive body literal
+    /// (bound by `Domain` enumeration of the adom).
+    adom_dependent: bool,
+}
+
+impl Stratum {
+    /// No rule reads a head of the stratum positively, so deletions are
+    /// support-counted instead of overdeleted.
+    fn counted(&self) -> bool {
+        self.pos.is_disjoint(&self.heads)
+    }
 }
 
 /// A long-lived incremental evaluation session over one stratified
@@ -98,29 +128,23 @@ pub struct PollStats {
 pub struct IncrementalSession {
     program: Program,
     options: EvalOptions,
-    stratification: Stratification,
+    strata: Vec<Stratum>,
     schema: Schema,
     /// EDB mirror: exactly the input a from-scratch run would receive.
     edb: Instance,
     /// The maintained fixpoint (EDB plus all IDB strata).
     instance: Instance,
-    /// Active domain of (program, edb) as of the last stabilization.
+    /// Active domain of (program, edb) as of the last stabilization;
+    /// empty when no stratum is adom-dependent, since no plan then
+    /// enumerates it.
     adom: Vec<Value>,
-    idb: FxHashSet<Symbol>,
     pending: Vec<Edit>,
     /// Long-lived index cache over the maintained instance.
     cache: IndexCache,
-    /// Bound-head support plan per program rule (head variables
-    /// prebound, so support checks probe instead of scan).
-    support_plans: Vec<Plan>,
-    /// Head predicate → indices of the rules deriving it.
-    rules_for: FxHashMap<Symbol, Vec<usize>>,
-    /// Per stratum: eligible for support counting (no rule reads a
-    /// same-stratum head positively)?
-    counted: Vec<bool>,
-    /// Per stratum: some rule has a variable outside every positive
-    /// body literal (bound by `Domain` enumeration of the adom)?
-    adom_dependent: Vec<bool>,
+    /// IDB predicate → each rule deriving it (index into
+    /// `program.rules`) with its bound-head support plan: head variables
+    /// prebound, so support checks probe instead of scan.
+    support_plans: FxHashMap<Symbol, Vec<(usize, Plan)>>,
     /// Lazy derivation counts for counted predicates; absent = unknown,
     /// stored ≤ true count.
     supports: FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
@@ -142,7 +166,7 @@ impl IncrementalSession {
         check_range_restricted(&program, false)?;
         let stratification = DependencyGraph::build(&program).stratify()?;
         let schema = program.schema()?;
-        let idb: FxHashSet<Symbol> = program.idb().into_iter().collect();
+        let idb = program.idb();
         for (pred, rel) in input.iter() {
             if idb.contains(&pred) && !rel.is_empty() {
                 return Err(EvalError::InvalidUpdate(
@@ -151,86 +175,86 @@ impl IncrementalSession {
             }
         }
 
-        let adom = active_domain(&program, input);
+        let mut strata: Vec<Stratum> = Vec::new();
+        strata.resize_with(stratification.strata_count().max(1), Stratum::default);
+        for (ri, rule) in program.rules.iter().enumerate() {
+            let head = head_atom(rule).pred;
+            let st = &mut strata[stratification.stratum(head)];
+            st.rules.push(ri);
+            st.heads.insert(head);
+            let mut pos_vars: FxHashSet<Var> = FxHashSet::default();
+            for lit in &rule.body {
+                match lit {
+                    Literal::Pos(a) => {
+                        st.pos.insert(a.pred);
+                        pos_vars.extend(a.vars());
+                    }
+                    Literal::Neg(a) => {
+                        st.neg.insert(a.pred);
+                    }
+                    _ => {}
+                }
+            }
+            st.adom_dependent |= rule
+                .head_vars()
+                .into_iter()
+                .chain(rule.body_vars())
+                .any(|v| !pos_vars.contains(&v));
+        }
+
+        let adom = if strata.iter().any(|st| st.adom_dependent) {
+            active_domain(&program, input)
+        } else {
+            Vec::new()
+        };
         let mut instance = input.clone();
-        for pred in program.idb() {
+        // The caller keeps `input`: give the maintained relations their
+        // own lineage now, so a later edit does not fork an epoch and
+        // invalidate the indexes the session builds on them.
+        let preds: Vec<Symbol> = instance.symbols().collect();
+        for pred in preds {
+            if let Some(rel) = instance.relation_mut(pred) {
+                rel.fork_epoch_if_shared();
+            }
+        }
+        for pred in idb {
             instance.ensure(pred, schema.arity(pred).expect("idb has arity"));
         }
         let mut cache = IndexCache::new();
         options.telemetry.begin("ivm");
-
-        let mut counted = Vec::new();
-        let mut adom_dependent = Vec::new();
-        for stratum_rules in stratification.partition_rules(&program) {
-            let heads: FxHashSet<Symbol> = stratum_rules
-                .iter()
-                .filter_map(|r| r.head.first().and_then(HeadLiteral::atom))
-                .map(|a| a.pred)
-                .collect();
-            let reads_own_stratum = stratum_rules.iter().any(|r| {
-                r.body
-                    .iter()
-                    .any(|l| matches!(l, Literal::Pos(a) if heads.contains(&a.pred)))
-            });
-            counted.push(!reads_own_stratum);
-            adom_dependent.push(stratum_rules.iter().any(|r| {
-                let mut pos_vars: FxHashSet<Var> = FxHashSet::default();
-                for l in &r.body {
-                    if let Literal::Pos(a) = l {
-                        pos_vars.extend(a.vars());
-                    }
-                }
-                r.head_vars()
-                    .into_iter()
-                    .chain(r.body_vars())
-                    .any(|v| !pos_vars.contains(&v))
-            }));
-            if stratum_rules.is_empty() {
-                continue;
+        for st in &strata {
+            if !st.rules.is_empty() {
+                let rules = rules_of(&program, st);
+                seminaive_fixpoint(
+                    &rules,
+                    &mut instance,
+                    &adom,
+                    &st.heads,
+                    &mut cache,
+                    &options,
+                )?;
             }
-            seminaive_fixpoint(
-                &stratum_rules,
-                &mut instance,
-                &adom,
-                &heads,
-                &mut cache,
-                &options,
-            )?;
         }
 
-        // Bound-head support plans: one per rule, head variables
-        // prebound so a support check for a concrete tuple starts from
-        // index probes on the head bindings.
         let mut planner = Planner::new(Catalog::from_instance(&instance), options.plan_mode);
-        let mut rules_for: FxHashMap<Symbol, Vec<usize>> = FxHashMap::default();
-        let mut support_plans = Vec::with_capacity(program.rules.len());
+        let mut support_plans: FxHashMap<Symbol, Vec<(usize, Plan)>> = FxHashMap::default();
         for (ri, rule) in program.rules.iter().enumerate() {
             let head = head_atom(rule);
-            rules_for.entry(head.pred).or_default().push(ri);
-            let mut prebound: Vec<Var> = Vec::new();
-            for v in head.vars() {
-                if !prebound.contains(&v) {
-                    prebound.push(v);
-                }
-            }
-            support_plans.push(planner.plan_rule_bound(rule, &prebound));
+            let plan = planner.plan_rule_bound(rule, &head.vars().collect::<Vec<_>>());
+            support_plans.entry(head.pred).or_default().push((ri, plan));
         }
 
         Ok(IncrementalSession {
             edb: input.clone(),
             program,
             options,
-            stratification,
+            strata,
             schema,
             instance,
             adom,
-            idb,
             pending: Vec::new(),
             cache,
             support_plans,
-            rules_for,
-            counted,
-            adom_dependent,
             supports: FxHashMap::default(),
         })
     }
@@ -269,9 +293,7 @@ impl IncrementalSession {
     /// # Errors
     /// Rejects edits on IDB predicates and arity mismatches.
     pub fn insert(&mut self, pred: Symbol, tuple: Tuple) -> Result<(), EvalError> {
-        self.validate_edit(pred, &tuple)?;
-        self.pending.push(Edit::Insert(pred, tuple));
-        Ok(())
+        self.queue(pred, tuple, true)
     }
 
     /// Queues an EDB retraction.
@@ -279,22 +301,27 @@ impl IncrementalSession {
     /// # Errors
     /// Rejects edits on IDB predicates and arity mismatches.
     pub fn retract(&mut self, pred: Symbol, tuple: Tuple) -> Result<(), EvalError> {
-        self.validate_edit(pred, &tuple)?;
-        self.pending.push(Edit::Retract(pred, tuple));
-        Ok(())
+        self.queue(pred, tuple, false)
     }
 
-    fn validate_edit(&self, pred: Symbol, tuple: &Tuple) -> Result<(), EvalError> {
-        if self.idb.contains(&pred) {
+    fn queue(&mut self, pred: Symbol, tuple: Tuple, insert: bool) -> Result<(), EvalError> {
+        if self.support_plans.contains_key(&pred) {
             return Err(EvalError::InvalidUpdate(
                 "edits must target EDB relations, but this predicate is derived by a rule".into(),
             ));
         }
-        let expected = self.schema.arity(pred).or_else(|| {
-            self.edb
-                .relation(pred)
-                .map(unchained_common::Relation::arity)
-        });
+        // A predicate unknown to the program and the EDB takes its arity
+        // from its first queued edit.
+        let expected = self
+            .schema
+            .arity(pred)
+            .or_else(|| self.edb.relation(pred).map(Relation::arity))
+            .or_else(|| {
+                self.pending
+                    .iter()
+                    .find(|e| e.pred == pred)
+                    .map(|e| e.tuple.arity())
+            });
         if let Some(arity) = expected {
             if arity != tuple.arity() {
                 return Err(EvalError::InvalidUpdate(format!(
@@ -303,6 +330,11 @@ impl IncrementalSession {
                 )));
             }
         }
+        self.pending.push(Edit {
+            pred,
+            tuple,
+            insert,
+        });
         Ok(())
     }
 
@@ -314,186 +346,223 @@ impl IncrementalSession {
     /// session stays usable only if `poll` returns `Ok`.
     pub fn poll(&mut self) -> Result<PollStats, EvalError> {
         let mut stats = PollStats::default();
-        if self.pending.is_empty() {
-            return Ok(stats);
-        }
         let joins_entry = self.cache.counters;
         let poll_sw = self.options.telemetry.stopwatch();
 
-        // Net EDB change: apply the batch to the mirror in order, then
-        // diff — inserting and retracting the same tuple in one batch
-        // cancels out.
-        let edb_before = self.edb.clone();
-        for edit in std::mem::take(&mut self.pending) {
-            match edit {
-                Edit::Insert(pred, tuple) => {
-                    self.edb.insert_fact(pred, tuple);
-                }
-                Edit::Retract(pred, tuple) => {
-                    self.edb.retract_fact(pred, &tuple);
-                }
+        // The net EDB change: the last edit of a fact decides whether it
+        // ends up present, so inserting and retracting one tuple in one
+        // batch cancels out. `removed`/`added` grow into the poll's exact
+        // net change as the strata settle.
+        let mut removed = Instance::new();
+        let mut added = Instance::new();
+        let mut seen: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
+        for edit in self.pending.drain(..).rev() {
+            let (pred, tuple) = (edit.pred, edit.tuple);
+            if seen.insert((pred, tuple.clone()))
+                && edit.insert != self.edb.contains_fact(pred, &tuple)
+            {
+                let change = if edit.insert {
+                    &mut added
+                } else {
+                    &mut removed
+                };
+                change.insert_fact(pred, tuple);
             }
         }
-        let mut deleted = Instance::new();
-        let mut inserted = Instance::new();
-        let mut edb_preds: Vec<Symbol> = edb_before.symbols().chain(self.edb.symbols()).collect();
-        edb_preds.sort_unstable();
-        edb_preds.dedup();
-        for pred in edb_preds {
-            diff_pred(&edb_before, &self.edb, pred, &mut deleted, &mut inserted);
-        }
-        stats.applied = (deleted.fact_count() + inserted.fact_count()) as u64;
-        if deleted.is_empty() && inserted.is_empty() {
+        stats.applied = (removed.fact_count() + added.fact_count()) as u64;
+        if stats.applied == 0 {
             return Ok(stats);
         }
+        let touched =
+            |change: &Instance, p: Symbol| change.relation(p).is_some_and(|r| !r.is_empty());
+        let plan_mode = self.options.plan_mode;
 
-        // Pin the pre-update fixpoint, then apply the EDB net change to
-        // the maintained instance.
-        let old = self.instance.clone();
-        for (pred, rel) in deleted.iter() {
+        // 1. Overdelete bottom-up against the untouched instance. `swept`
+        //    collects everything that may be gone — the EDB retractions,
+        //    overdeleted tuples and counted candidates — and seeds the
+        //    strata above. `None`: the stratum reads nothing swept.
+        let mut swept = removed.clone();
+        let mut candidates: Vec<Option<Vec<(Symbol, Tuple)>>> = Vec::new();
+        for st in &self.strata {
+            if !st.pos.iter().any(|&p| touched(&swept, p)) {
+                candidates.push(None);
+                continue;
+            }
+            let rules = rules_of(&self.program, st);
+            candidates.push(Some(if st.counted() {
+                counted_sweep(
+                    &rules,
+                    &self.instance,
+                    &mut swept,
+                    &mut self.supports,
+                    &self.adom,
+                    &mut self.cache,
+                    plan_mode,
+                    &mut stats,
+                )
+            } else {
+                overdelete(
+                    &rules,
+                    &self.instance,
+                    &mut swept,
+                    &self.adom,
+                    &mut self.cache,
+                    plan_mode,
+                    self.options.max_stages,
+                    &mut stats,
+                )?
+            }));
+        }
+
+        // 2. Apply the EDB net change and withdraw the overdeleted tuples.
+        //    Counted candidates stay until their recount.
+        for (pred, rel) in removed.iter() {
             for t in rel.iter() {
+                self.edb.retract_fact(pred, t);
                 self.instance.retract_fact(pred, t);
             }
         }
-        for (pred, rel) in inserted.iter() {
+        for (pred, rel) in added.iter() {
             for t in rel.iter() {
+                self.edb.insert_fact(pred, t.clone());
                 self.instance.insert_fact(pred, t.clone());
             }
         }
-        self.instance.commit_all();
-
-        let adom = active_domain(&self.program, &self.edb);
-        let adom_changed = adom != self.adom;
-        self.adom = adom.clone();
-
-        // Reads of the pre-update fixpoint and the scratch delete set go
-        // through a per-poll cache: they would otherwise collide with
-        // the session cache's entries for the live instance.
-        let mut old_cache = IndexCache::new();
-        let touched =
-            |change: &Instance, p: Symbol| change.relation(p).is_some_and(|r| !r.is_empty());
-
-        for (stratum, stratum_rules) in self
-            .stratification
-            .partition_rules(&self.program)
-            .into_iter()
-            .enumerate()
-        {
-            if stratum_rules.is_empty() {
-                continue;
-            }
-            let heads: FxHashSet<Symbol> = stratum_rules
-                .iter()
-                .filter_map(|r| r.head.first().and_then(HeadLiteral::atom))
-                .map(|a| a.pred)
-                .collect();
-            let mut pos_preds: FxHashSet<Symbol> = FxHashSet::default();
-            let mut neg_preds: FxHashSet<Symbol> = FxHashSet::default();
-            for rule in &stratum_rules {
-                for lit in &rule.body {
-                    match lit {
-                        Literal::Pos(a) => {
-                            pos_preds.insert(a.pred);
-                        }
-                        Literal::Neg(a) => {
-                            neg_preds.insert(a.pred);
-                        }
-                        _ => {}
-                    }
+        for (st, found) in self.strata.iter().zip(&candidates) {
+            if !st.counted() {
+                for (pred, t) in found.iter().flatten() {
+                    self.instance.retract_fact(*pred, t);
                 }
             }
-            let neg_changed = neg_preds
-                .iter()
-                .any(|&p| touched(&deleted, p) || touched(&inserted, p));
-            if neg_changed || (adom_changed && self.adom_dependent[stratum]) {
+        }
+        let mut adom_changed = false;
+        if self.strata.iter().any(|st| st.adom_dependent) {
+            let adom = active_domain(&self.program, &self.edb);
+            adom_changed = adom != self.adom;
+            self.adom = adom;
+        }
+
+        // 3. Stratum by stratum against the new state: rederive or
+        //    recount, then close over the net additions below.
+        // Heads of recomputed strata that lost facts step 1 never swept.
+        let mut unswept: FxHashSet<Symbol> = FxHashSet::default();
+        for (st, found) in self.strata.iter().zip(candidates) {
+            if st.rules.is_empty() {
+                continue;
+            }
+            let rules = rules_of(&self.program, st);
+            let changed = |p: &Symbol| touched(&removed, *p) || touched(&added, *p);
+            if st.neg.iter().any(changed)
+                || st.pos.iter().any(|p| unswept.contains(p))
+                || (adom_changed && st.adom_dependent)
+            {
                 // Batch fallback: Δ plans over positive literals cannot
                 // see growth caused by deletion under negation or by a
-                // shifted active domain.
-                for &p in &heads {
-                    if let Some(rel) = self.instance.relation_mut(p) {
-                        rel.clear();
-                    }
+                // shifted active domain, nor losses step 1 never swept.
+                let mut old: Vec<(Symbol, Relation)> = Vec::new();
+                for &p in &st.heads {
+                    let rel = self.instance.relation_mut(p).expect("heads exist");
+                    let arity = rel.arity();
+                    old.push((p, std::mem::replace(rel, Relation::new(arity))));
                     self.supports.remove(&p);
                 }
                 seminaive_fixpoint(
-                    &stratum_rules,
+                    &rules,
                     &mut self.instance,
-                    &adom,
-                    &heads,
+                    &self.adom,
+                    &st.heads,
                     &mut self.cache,
                     &self.options,
                 )?;
-                diff_heads(&heads, &old, &self.instance, &mut deleted, &mut inserted);
+                // The old heads are what is left of them plus what step 1
+                // withdrew.
+                for (p, kept) in old {
+                    let new = self.instance.relation(p).expect("heads exist");
+                    let withdrawn = swept.relation(p);
+                    let was_swept = |t: &Tuple| withdrawn.is_some_and(|w| w.contains(t));
+                    for t in new.iter() {
+                        if !kept.contains(t) && !was_swept(t) {
+                            added.insert_fact(p, t.clone());
+                        }
+                    }
+                    for t in kept
+                        .iter()
+                        .chain(withdrawn.into_iter().flat_map(Relation::iter))
+                    {
+                        if !new.contains(t) {
+                            removed.insert_fact(p, t.clone());
+                            if !was_swept(t) {
+                                unswept.insert(p);
+                            }
+                        }
+                    }
+                }
                 stats.strata_recomputed += 1;
                 continue;
             }
-            let del_hit = pos_preds.iter().any(|&p| touched(&deleted, p));
-            let ins_hit = pos_preds.iter().any(|&p| touched(&inserted, p));
-            if !del_hit && !ins_hit {
+            let ins_hit = st.pos.iter().any(|&p| touched(&added, p));
+            let Some(found) = found.or_else(|| ins_hit.then(Vec::new)) else {
                 stats.strata_skipped += 1;
                 continue;
+            };
+            if st.counted() {
+                for (pred, tuple) in &found {
+                    let count = count_support(
+                        *pred,
+                        tuple,
+                        &self.program,
+                        &self.support_plans,
+                        &self.instance,
+                        &self.adom,
+                        &mut self.cache,
+                        &mut stats,
+                        false,
+                    );
+                    let counts = self.supports.entry(*pred).or_default();
+                    counts.insert(tuple.clone(), count as i64);
+                    if count == 0 {
+                        self.instance.retract_fact(*pred, tuple);
+                    }
+                }
+            } else {
+                rederive(
+                    &found,
+                    &self.program,
+                    &self.support_plans,
+                    &mut self.instance,
+                    &self.adom,
+                    &mut self.cache,
+                    &mut stats,
+                );
             }
-            if del_hit {
-                if self.counted[stratum] {
-                    counted_delete(
-                        &stratum_rules,
-                        &old,
-                        &deleted,
-                        &mut self.instance,
-                        &mut self.supports,
-                        &self.program,
-                        &self.rules_for,
-                        &self.support_plans,
-                        &adom,
-                        &mut old_cache,
-                        &mut self.cache,
-                        self.options.plan_mode,
-                        &mut stats,
-                    );
-                } else {
-                    let overdeleted = overdelete_closure(
-                        &stratum_rules,
-                        &old,
-                        &deleted,
-                        &mut self.instance,
-                        &adom,
-                        &mut old_cache,
-                        self.options.plan_mode,
-                        self.options.max_stages,
-                        &mut stats,
-                    )?;
-                    rederive(
-                        &overdeleted,
-                        &self.program,
-                        &self.rules_for,
-                        &self.support_plans,
-                        &mut self.instance,
-                        &adom,
-                        &mut self.cache,
-                        &mut stats,
-                    );
+            let new = insert_closure(
+                &rules,
+                &mut self.instance,
+                &added,
+                &mut self.supports,
+                &self.adom,
+                &mut self.cache,
+                &self.options,
+                &mut stats,
+            )?;
+            for (pred, tuple) in found {
+                if !self.instance.contains_fact(pred, &tuple) {
+                    removed.insert_fact(pred, tuple);
                 }
             }
-            if ins_hit {
-                insert_closure(
-                    &stratum_rules,
-                    &mut self.instance,
-                    &inserted,
-                    &mut self.supports,
-                    &adom,
-                    &mut self.cache,
-                    &self.options,
-                    &mut stats,
-                )?;
+            for (pred, tuple) in new {
+                if !swept.contains_fact(pred, &tuple) {
+                    added.insert_fact(pred, tuple);
+                }
             }
-            diff_heads(&heads, &old, &self.instance, &mut deleted, &mut inserted);
         }
 
-        self.instance.commit_all();
-        stats.facts_removed = deleted.fact_count() as u64;
-        stats.facts_added = inserted.fact_count() as u64;
+        // No commit: freezing the recent tails would move the indexes
+        // made current in this poll off their lineage, and the next poll
+        // would rebuild them instead of absorbing the change.
+        stats.facts_removed = removed.fact_count() as u64;
+        stats.facts_added = added.fact_count() as u64;
         stats.joins = self.cache.counters.since(&joins_entry);
-        stats.joins.absorb(&old_cache.counters);
         // Each poll is one telemetry stage, so a trace of a session
         // reads as: initial fixpoint rounds, then one record per poll.
         let (facts, bytes) = (
@@ -527,6 +596,10 @@ fn head_atom(rule: &Rule) -> &Atom {
     }
 }
 
+fn rules_of<'p>(program: &'p Program, stratum: &Stratum) -> Vec<&'p Rule> {
+    stratum.rules.iter().map(|&ri| &program.rules[ri]).collect()
+}
+
 /// Seeds a valuation environment from a concrete head tuple: `None` if
 /// the tuple contradicts a head constant or a repeated head variable.
 fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
@@ -551,46 +624,6 @@ fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
     Some(env)
 }
 
-/// Extends `deleted`/`inserted` with `new` vs `old` on one predicate.
-fn diff_pred(
-    old: &Instance,
-    new: &Instance,
-    pred: Symbol,
-    deleted: &mut Instance,
-    inserted: &mut Instance,
-) {
-    let old_rel = old.relation(pred);
-    let new_rel = new.relation(pred);
-    if let Some(o) = old_rel {
-        for t in o.iter() {
-            if !new_rel.is_some_and(|n| n.contains(t)) {
-                deleted.insert_fact(pred, t.clone());
-            }
-        }
-    }
-    if let Some(n) = new_rel {
-        for t in n.iter() {
-            if !old_rel.is_some_and(|o| o.contains(t)) {
-                inserted.insert_fact(pred, t.clone());
-            }
-        }
-    }
-}
-
-fn diff_heads(
-    heads: &FxHashSet<Symbol>,
-    old: &Instance,
-    new: &Instance,
-    deleted: &mut Instance,
-    inserted: &mut Instance,
-) {
-    let mut preds: Vec<Symbol> = heads.iter().copied().collect();
-    preds.sort_unstable();
-    for pred in preds {
-        diff_pred(old, new, pred, deleted, inserted);
-    }
-}
-
 /// Counts derivations of `tuple` (or just probes for one, with
 /// `first_only`) across every rule whose head predicate matches,
 /// against the current `instance`.
@@ -599,8 +632,7 @@ fn count_support(
     pred: Symbol,
     tuple: &Tuple,
     program: &Program,
-    rules_for: &FxHashMap<Symbol, Vec<usize>>,
-    support_plans: &[Plan],
+    support_plans: &FxHashMap<Symbol, Vec<(usize, Plan)>>,
     instance: &Instance,
     adom: &[Value],
     cache: &mut IndexCache,
@@ -608,16 +640,13 @@ fn count_support(
     first_only: bool,
 ) -> u64 {
     let mut count = 0u64;
-    let Some(rule_indices) = rules_for.get(&pred) else {
-        return 0;
-    };
-    for &ri in rule_indices {
-        let rule = &program.rules[ri];
+    for (ri, plan) in support_plans.get(&pred).into_iter().flatten() {
+        let rule = &program.rules[*ri];
         let Some(mut env) = seed_env(head_atom(rule), tuple, rule.var_count()) else {
             continue;
         };
         let _ = for_each_match_from(
-            &support_plans[ri],
+            plan,
             Sources::simple(instance),
             adom,
             cache,
@@ -639,76 +668,151 @@ fn count_support(
     count
 }
 
-/// The DRed overdelete closure for one stratum: Δ-variant plans driven
-/// over the scratch delete set, every other literal reading the
-/// pre-update fixpoint `old`. Affected head tuples are withdrawn from
-/// `instance` and fed back into the delete set until nothing new is
-/// reachable. Returns the withdrawn tuples, in withdrawal order.
+/// One semi-naive round over a change set: runs every Δ-variant of
+/// `rules` whose Δ literal reads a predicate present in `change`, with
+/// the Δ literal reading `change` since `mark` and every other literal
+/// reading `full`, and calls `on_head` once per match. Returns the
+/// number of matches.
 #[allow(clippy::too_many_arguments)]
-fn overdelete_closure(
-    stratum_rules: &[&Rule],
-    old: &Instance,
-    seed: &Instance,
-    instance: &mut Instance,
+fn delta_round(
+    rules: &[&Rule],
+    planner: &mut Planner,
+    full: &Instance,
+    change: &Instance,
+    mark: &DeltaHandle,
     adom: &[Value],
-    old_cache: &mut IndexCache,
+    cache: &mut IndexCache,
+    on_head: &mut dyn FnMut(Symbol, Tuple),
+) -> u64 {
+    cache.begin_delta_round();
+    let changed: FxHashSet<Symbol> = change
+        .iter()
+        .filter(|(_, r)| !r.is_empty())
+        .map(|(p, _)| p)
+        .collect();
+    let sources = Sources {
+        full,
+        delta: Some(mark),
+        neg: None,
+        delta_from: Some(change),
+    };
+    let mut fired = 0;
+    for rule in rules {
+        let head = head_atom(rule);
+        for plan in planner.seminaive_variants(rule, &|p| changed.contains(&p)) {
+            fired += for_each_head(&plan, &head.args, sources, adom, cache, &mut |t| {
+                on_head(head.pred, t);
+            });
+        }
+    }
+    fired
+}
+
+/// The DRed overdelete closure for one stratum, against the pre-update
+/// fixpoint `instance`: Δ-variant plans driven over `swept`, whose head
+/// tuples join `swept` until nothing new is reachable. Returns the
+/// stratum's overdeleted tuples, in discovery order.
+#[allow(clippy::too_many_arguments)]
+fn overdelete(
+    rules: &[&Rule],
+    instance: &Instance,
+    swept: &mut Instance,
+    adom: &[Value],
+    cache: &mut IndexCache,
     plan_mode: PlanMode,
     max_stages: Option<usize>,
     stats: &mut PollStats,
 ) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
-    let mut ddel = seed.clone();
-    // The default handle marks everything in the seed as new; captured
-    // marks restrict later rounds to that round's additions.
+    // The default handle marks all of `swept` as new; captured marks
+    // restrict later rounds to the previous round's additions.
     let mut mark = DeltaHandle::default();
     let mut overdeleted: Vec<(Symbol, Tuple)> = Vec::new();
-    let mut planner = Planner::new(Catalog::from_instance(old), plan_mode);
+    let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
     let mut rounds = 0usize;
     loop {
         rounds += 1;
         if max_stages.is_some_and(|m| rounds > m) {
             return Err(EvalError::StageLimitExceeded(rounds - 1));
         }
-        old_cache.begin_delta_round();
-        let del_preds: FxHashSet<Symbol> = ddel
-            .iter()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(p, _)| p)
-            .collect();
         let mut found: Vec<(Symbol, Tuple)> = Vec::new();
-        for rule in stratum_rules {
-            let head = head_atom(rule);
-            for plan in planner.seminaive_variants(rule, &|p| del_preds.contains(&p)) {
-                stats.rules_fired += for_each_head(
-                    &plan,
-                    &head.args,
-                    Sources {
-                        full: old,
-                        delta: Some(&mark),
-                        neg: None,
-                        delta_from: Some(&ddel),
-                    },
-                    adom,
-                    old_cache,
-                    &mut |tuple| {
-                        if instance.contains_fact(head.pred, &tuple) {
-                            found.push((head.pred, tuple));
-                        }
-                    },
-                );
-            }
-        }
-        if found.is_empty() {
-            return Ok(overdeleted);
-        }
-        mark = DeltaHandle::capture(&ddel);
+        stats.rules_fired += delta_round(
+            rules,
+            &mut planner,
+            instance,
+            swept,
+            &mark,
+            adom,
+            cache,
+            &mut |pred, tuple| found.push((pred, tuple)),
+        );
+        mark = DeltaHandle::capture(swept);
+        let before = overdeleted.len();
         for (pred, tuple) in found {
-            if ddel.insert_fact(pred, tuple.clone()) {
-                instance.retract_fact(pred, &tuple);
-                stats.overdeleted += 1;
+            if swept.insert_fact(pred, tuple.clone()) {
                 overdeleted.push((pred, tuple));
             }
         }
+        if overdeleted.len() == before {
+            stats.overdeleted += overdeleted.len() as u64;
+            return Ok(overdeleted);
+        }
     }
+}
+
+/// The support-counted sweep for a stratum with no same-stratum positive
+/// dependencies, against the pre-update fixpoint `instance`: one Δ pass
+/// over `swept` finds every affected head tuple (no cascade is possible
+/// within the stratum). A stored count that stays positive absorbs the
+/// deletion outright; every other affected tuple joins `swept` and is
+/// returned for an exact recount against the new state.
+#[allow(clippy::too_many_arguments)]
+fn counted_sweep(
+    rules: &[&Rule],
+    instance: &Instance,
+    swept: &mut Instance,
+    supports: &mut FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
+    adom: &[Value],
+    cache: &mut IndexCache,
+    plan_mode: PlanMode,
+    stats: &mut PollStats,
+) -> Vec<(Symbol, Tuple)> {
+    let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
+    let mut affected = Instance::new();
+    stats.rules_fired += delta_round(
+        rules,
+        &mut planner,
+        instance,
+        swept,
+        &DeltaHandle::default(),
+        adom,
+        cache,
+        &mut |pred, tuple| {
+            // Every Δ-match witnesses a (possibly repeated) lost
+            // derivation: decrementing once per match can only push the
+            // stored count *below* the truth, which is the safe
+            // direction.
+            if let Some(c) = supports.get_mut(&pred).and_then(|m| m.get_mut(&tuple)) {
+                *c -= 1;
+            }
+            affected.insert_fact(pred, tuple);
+        },
+    );
+    let mut candidates = Vec::new();
+    for (pred, rel) in affected.iter() {
+        for tuple in rel.iter() {
+            if supports
+                .get(&pred)
+                .and_then(|m| m.get(tuple))
+                .is_some_and(|&c| c > 0)
+            {
+                stats.support_hits += 1;
+            } else {
+                swept.insert_fact(pred, tuple.clone());
+                candidates.push((pred, tuple.clone()));
+            }
+        }
+    }
+    candidates
 }
 
 /// The DRed rederivation pass: each withdrawn tuple that still has a
@@ -719,8 +823,7 @@ fn overdelete_closure(
 fn rederive(
     candidates: &[(Symbol, Tuple)],
     program: &Program,
-    rules_for: &FxHashMap<Symbol, Vec<usize>>,
-    support_plans: &[Plan],
+    support_plans: &FxHashMap<Symbol, Vec<(usize, Plan)>>,
     instance: &mut Instance,
     adom: &[Value],
     cache: &mut IndexCache,
@@ -736,7 +839,6 @@ fn rederive(
                 *pred,
                 tuple,
                 program,
-                rules_for,
                 support_plans,
                 instance,
                 adom,
@@ -756,107 +858,15 @@ fn rederive(
     }
 }
 
-/// Support-counted deletion for a stratum with no same-stratum positive
-/// dependencies: one Δ pass over the accumulated deletions finds every
-/// affected head tuple (no cascade is possible within the stratum), a
-/// stored count that stays positive absorbs the deletion outright, and
-/// anything else gets an exact recount against the new state.
-#[allow(clippy::too_many_arguments)]
-fn counted_delete(
-    stratum_rules: &[&Rule],
-    old: &Instance,
-    seed: &Instance,
-    instance: &mut Instance,
-    supports: &mut FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
-    program: &Program,
-    rules_for: &FxHashMap<Symbol, Vec<usize>>,
-    support_plans: &[Plan],
-    adom: &[Value],
-    old_cache: &mut IndexCache,
-    cache: &mut IndexCache,
-    plan_mode: PlanMode,
-    stats: &mut PollStats,
-) {
-    let mark = DeltaHandle::default();
-    let del_preds: FxHashSet<Symbol> = seed
-        .iter()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(p, _)| p)
-        .collect();
-    let mut planner = Planner::new(Catalog::from_instance(old), plan_mode);
-    let mut affected: Vec<(Symbol, Tuple)> = Vec::new();
-    let mut seen: FxHashSet<(Symbol, Tuple)> = FxHashSet::default();
-    old_cache.begin_delta_round();
-    for rule in stratum_rules {
-        let head = head_atom(rule);
-        for plan in planner.seminaive_variants(rule, &|p| del_preds.contains(&p)) {
-            stats.rules_fired += for_each_head(
-                &plan,
-                &head.args,
-                Sources {
-                    full: old,
-                    delta: Some(&mark),
-                    neg: None,
-                    delta_from: Some(seed),
-                },
-                adom,
-                old_cache,
-                &mut |tuple| {
-                    if !instance.contains_fact(head.pred, &tuple) {
-                        return;
-                    }
-                    // Every Δ-match witnesses a (possibly repeated)
-                    // lost derivation: decrementing once per match can
-                    // only push the stored count *below* the truth,
-                    // which is the safe direction.
-                    if let Some(c) = supports.get_mut(&head.pred).and_then(|m| m.get_mut(&tuple)) {
-                        *c -= 1;
-                    }
-                    let key = (head.pred, tuple);
-                    if seen.insert(key.clone()) {
-                        affected.push(key);
-                    }
-                },
-            );
-        }
-    }
-    for (pred, tuple) in affected {
-        if let Some(&c) = supports.get(&pred).and_then(|m| m.get(&tuple)) {
-            if c > 0 {
-                stats.support_hits += 1;
-                continue;
-            }
-        }
-        let count = count_support(
-            pred,
-            &tuple,
-            program,
-            rules_for,
-            support_plans,
-            instance,
-            adom,
-            cache,
-            stats,
-            false,
-        );
-        supports
-            .entry(pred)
-            .or_default()
-            .insert(tuple.clone(), count as i64);
-        if count == 0 {
-            instance.retract_fact(pred, &tuple);
-        }
-    }
-}
-
 /// Semi-naive insertion propagation for one stratum: Δ-variant plans
-/// over a scratch insert set, full scans against the live (growing)
-/// instance. Stored support counts of re-derived tuples are invalidated
-/// rather than incremented — a Δ-match with `k` new body tuples is
-/// enumerated `k` times, so incrementing could overshoot the truth.
+/// over a scratch insert set seeded with `seed`, full scans against the
+/// live (growing) instance. Returns the tuples it added, in order.
+/// Stored support counts of re-derived tuples are invalidated rather
+/// than incremented — a Δ-match with `k` new body tuples is enumerated
+/// `k` times, so incrementing could overshoot the truth.
 #[allow(clippy::too_many_arguments)]
 fn insert_closure(
-    stratum_rules: &[&Rule],
+    rules: &[&Rule],
     instance: &mut Instance,
     seed: &Instance,
     supports: &mut FxHashMap<Symbol, FxHashMap<Tuple, i64>>,
@@ -864,47 +874,34 @@ fn insert_closure(
     cache: &mut IndexCache,
     options: &EvalOptions,
     stats: &mut PollStats,
-) -> Result<(), EvalError> {
+) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
     let mut dins = seed.clone();
     let mut mark = DeltaHandle::default();
     let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
+    let mut new: Vec<(Symbol, Tuple)> = Vec::new();
     let mut rounds = 0usize;
     loop {
         rounds += 1;
         if options.max_stages.is_some_and(|m| rounds > m) {
             return Err(EvalError::StageLimitExceeded(rounds - 1));
         }
-        cache.begin_delta_round();
-        let ins_preds: FxHashSet<Symbol> = dins
-            .iter()
-            .filter(|(_, r)| !r.is_empty())
-            .map(|(p, _)| p)
-            .collect();
         let mut found: Vec<(Symbol, Tuple)> = Vec::new();
-        for rule in stratum_rules {
-            let head = head_atom(rule);
-            for plan in planner.seminaive_variants(rule, &|p| ins_preds.contains(&p)) {
-                stats.rules_fired += for_each_head(
-                    &plan,
-                    &head.args,
-                    Sources {
-                        full: instance,
-                        delta: Some(&mark),
-                        neg: None,
-                        delta_from: Some(&dins),
-                    },
-                    adom,
-                    cache,
-                    &mut |tuple| {
-                        if !instance.contains_fact(head.pred, &tuple) {
-                            found.push((head.pred, tuple));
-                        }
-                    },
-                );
-            }
-        }
+        stats.rules_fired += delta_round(
+            rules,
+            &mut planner,
+            instance,
+            &dins,
+            &mark,
+            adom,
+            cache,
+            &mut |pred, tuple| {
+                if !instance.contains_fact(pred, &tuple) {
+                    found.push((pred, tuple));
+                }
+            },
+        );
         if found.is_empty() {
-            return Ok(());
+            return Ok(new);
         }
         mark = DeltaHandle::capture(&dins);
         for (pred, tuple) in found {
@@ -912,7 +909,8 @@ fn insert_closure(
                 if let Some(m) = supports.get_mut(&pred) {
                     m.remove(&tuple);
                 }
-                dins.insert_fact(pred, tuple);
+                dins.insert_fact(pred, tuple.clone());
+                new.push((pred, tuple));
             }
         }
         if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
@@ -1106,6 +1104,96 @@ mod tests {
             IncrementalSession::new(p, &tainted, EvalOptions::default()),
             Err(EvalError::InvalidUpdate(_))
         ));
+    }
+
+    #[test]
+    fn unknown_predicate_takes_its_arity_from_the_first_queued_edit() {
+        let mut i = Interner::new();
+        let p = tc_program(&mut i);
+        let h = i.intern("H");
+        let mut s = IncrementalSession::new(p, &chain(&mut i, 3), EvalOptions::default()).unwrap();
+        s.insert(h, Tuple::from([Value::Int(1)])).unwrap();
+        assert!(matches!(
+            s.insert(h, edge(1, 2)),
+            Err(EvalError::InvalidUpdate(_))
+        ));
+        assert_eq!(s.pending_edits(), 1, "the rejected edit is not queued");
+        s.poll().unwrap();
+        assert_matches_scratch(&s, &i);
+    }
+
+    #[test]
+    fn reader_of_a_recomputed_stratum_that_lost_facts_is_recomputed() {
+        let mut i = Interner::new();
+        // N is recomputed whenever T changes. U reads N positively, one
+        // stratum higher because it negates E (always empty).
+        let p = parse_program(
+            "T(x,y) :- G(x,y).\n\
+             T(x,y) :- G(x,z), T(z,y).\n\
+             N(x) :- V(x), !T(x,x).\n\
+             E(x) :- Q(x), !T(x,x).\n\
+             U(x) :- N(x), W(x), !E(x).",
+            &mut i,
+        )
+        .unwrap();
+        let (g, v, w) = (
+            i.get("G").unwrap(),
+            i.get("V").unwrap(),
+            i.get("W").unwrap(),
+        );
+        let u = i.get("U").unwrap();
+        let one = |x: i64| Tuple::from([Value::Int(x)]);
+        let mut input = chain(&mut i, 3);
+        for x in 0..4 {
+            input.insert_fact(v, one(x));
+        }
+        for x in [0, 1, 3] {
+            input.insert_fact(w, one(x));
+        }
+        let mut s = IncrementalSession::new(p, &input, EvalOptions::default()).unwrap();
+        // Closing the cycle puts T(x,x) in for x = 0, 1, 2: N loses those
+        // facts by recomputation, which step 1 never swept, so U has to
+        // be recomputed too.
+        s.insert(g, edge(2, 0)).unwrap();
+        let stats = s.poll().unwrap();
+        assert_eq!(stats.strata_recomputed, 2, "N and its reader U");
+        assert!(!s.instance().contains_fact(u, &one(0)));
+        assert!(s.instance().contains_fact(u, &one(3)));
+        assert_matches_scratch(&s, &i);
+        // Opening it again only grows N, which U absorbs incrementally.
+        s.retract(g, edge(2, 0)).unwrap();
+        let stats = s.poll().unwrap();
+        assert_eq!(stats.strata_recomputed, 1, "N only");
+        assert!(s.instance().contains_fact(u, &one(0)));
+        assert_matches_scratch(&s, &i);
+    }
+
+    /// A poll's index work depends on the edit, not on the database: TC
+    /// over disjoint two-edge paths, after a warm-up poll, retracting
+    /// one more edge must build and probe exactly as much at 100 paths
+    /// as at 1,000.
+    #[test]
+    fn poll_work_is_independent_of_database_size() {
+        let second_poll = |paths: i64| {
+            let mut i = Interner::new();
+            let p = tc_program(&mut i);
+            let g = i.get("G").unwrap();
+            let mut input = Instance::new();
+            for a in (0..paths).map(|k| 3 * k) {
+                input.insert_fact(g, edge(a, a + 1));
+                input.insert_fact(g, edge(a + 1, a + 2));
+            }
+            let mut s = IncrementalSession::new(p, &input, EvalOptions::default()).unwrap();
+            s.retract(g, edge(0, 1)).unwrap();
+            s.poll().unwrap();
+            s.retract(g, edge(3, 4)).unwrap();
+            let stats = s.poll().unwrap();
+            assert_matches_scratch(&s, &i);
+            stats.joins
+        };
+        let (small, large) = (second_poll(100), second_poll(1000));
+        assert_eq!(small.indexed_tuples, large.indexed_tuples);
+        assert_eq!(small.probes, large.probes);
     }
 
     #[test]

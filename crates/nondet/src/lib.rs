@@ -100,6 +100,17 @@ impl fmt::Display for NondetError {
 
 impl std::error::Error for NondetError {}
 
+impl NondetError {
+    /// The `Display` message with predicates named through `interner`
+    /// instead of by symbol id.
+    pub fn render(&self, interner: &unchained_common::Interner) -> String {
+        match self {
+            NondetError::Eval(e) => e.render(interner),
+            other => other.to_string(),
+        }
+    }
+}
+
 impl From<unchained_core::EvalError> for NondetError {
     fn from(e: unchained_core::EvalError) -> Self {
         NondetError::Eval(e)

@@ -100,10 +100,12 @@ pub struct NondetProgram<'p> {
 }
 
 impl<'p> NondetProgram<'p> {
-    /// Compiles `program`, checking Definition 5.1's conditions: head
-    /// variables positively bound (invented variables exempt iff
-    /// `allow_invention`), `forall` variables confined to bodies.
+    /// Compiles `program`, checking arity consistency and Definition
+    /// 5.1's conditions: head variables positively bound (invented
+    /// variables exempt iff `allow_invention`), `forall` variables
+    /// confined to bodies.
     pub fn compile(program: &'p Program, allow_invention: bool) -> Result<Self, NondetError> {
+        program.schema().map_err(unchained_core::EvalError::from)?;
         check_positively_bound(program, allow_invention)
             .map_err(unchained_core::EvalError::Analysis)?;
         let feats = features(program);
