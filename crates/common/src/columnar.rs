@@ -1,22 +1,22 @@
 //! Columnar tuple storage: flat, arity-strided value buffers.
 //!
-//! A frozen relation segment used to be a `Vec<Tuple>` — one heap
-//! allocation (a `Box<[Value]>`) per tuple, pointer-chased on every
-//! scan. [`ColumnSegment`] packs the same rows into a single contiguous
-//! `Vec<Value>` in row-major order with a fixed stride (the arity):
-//! row `i` occupies `values[i*arity .. (i+1)*arity]`. Scans walk one
-//! allocation linearly, rows are handed out as borrowed `&[Value]`
-//! slices, and freezing a tail drops the per-tuple boxes entirely.
+//! [`ColumnSegment`] packs rows into a single contiguous `Vec<Value>` in
+//! row-major order with a fixed stride (the arity): row `i` occupies
+//! `values[i*arity .. (i+1)*arity]`. Scans walk one allocation linearly
+//! and hand out rows as borrowed `&[Value]` slices; no row is ever a
+//! per-tuple heap box. A relation keeps every fact in this one
+//! representation: its uncommitted tail is a segment it appends to, and
+//! committing moves that buffer, unsorted and uncopied, into a frozen
+//! segment shared by clones.
 //!
-//! The logical space model (see [`crate::space`]) is unchanged: a
-//! stored row still costs [`tuple_bytes`](crate::space::tuple_bytes)
-//! of *logical* bytes regardless of the physical layout, so byte
-//! gauges stay comparable across this representation change.
+//! The logical space model (see [`crate::space`]) does not depend on
+//! this layout: a stored row costs
+//! [`tuple_bytes`](crate::space::tuple_bytes) of *logical* bytes, so
+//! byte gauges stay comparable across representation changes.
 
-use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// An immutable, row-major packed run of same-arity rows.
+/// A row-major packed run of same-arity rows, in append order.
 ///
 /// Arity 0 is explicitly supported (propositional relations): the value
 /// buffer stays empty and the row count alone carries the cardinality,
@@ -29,28 +29,31 @@ pub struct ColumnSegment {
 }
 
 impl ColumnSegment {
-    /// Packs `tuples` into a segment. The tuples' order is preserved.
-    ///
-    /// # Panics
-    /// Panics if a tuple's arity does not match.
-    pub fn from_tuples<'a>(arity: usize, tuples: impl IntoIterator<Item = &'a Tuple>) -> Self {
-        let mut seg = ColumnSegment {
+    /// An empty segment of the given stride.
+    pub fn new(arity: usize) -> Self {
+        ColumnSegment {
             arity,
             rows: 0,
             values: Vec::new(),
-        };
-        for t in tuples {
-            assert_eq!(t.arity(), arity, "arity mismatch packing a segment");
-            seg.values.extend_from_slice(t.values());
-            seg.rows += 1;
         }
-        seg.values.shrink_to_fit();
-        seg
     }
 
-    /// The row stride.
-    pub fn arity(&self) -> usize {
-        self.arity
+    /// Appends one row.
+    ///
+    /// # Panics
+    /// Panics if the row's length is not the stride.
+    pub fn push(&mut self, row: &[Value]) {
+        assert_eq!(row.len(), self.arity, "arity mismatch packing a segment");
+        self.values.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// Takes this segment's rows out, leaving it empty, with the buffer
+    /// trimmed to its length: the rows move, they are not copied.
+    pub fn take(&mut self) -> ColumnSegment {
+        let mut seg = std::mem::replace(self, ColumnSegment::new(self.arity));
+        seg.values.shrink_to_fit();
+        seg
     }
 
     /// Number of rows.
@@ -95,24 +98,13 @@ impl ColumnSegment {
     }
 }
 
-/// Iterator over the rows of a [`ColumnSegment`] (or any packed
-/// row-major value buffer), yielding `&[Value]` slices of the stride.
+/// Iterator over the rows of a [`ColumnSegment`], yielding `&[Value]`
+/// slices of the stride.
 #[derive(Clone, Debug)]
 pub struct Rows<'a> {
     values: &'a [Value],
     arity: usize,
     remaining: usize,
-}
-
-impl<'a> Rows<'a> {
-    /// An empty rows iterator of the given stride.
-    pub fn empty(arity: usize) -> Self {
-        Rows {
-            values: &[],
-            arity,
-            remaining: 0,
-        }
-    }
 }
 
 impl<'a> Iterator for Rows<'a> {
@@ -141,6 +133,15 @@ impl ExactSizeIterator for Rows<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Tuple;
+
+    fn pack<'a>(arity: usize, tuples: impl IntoIterator<Item = &'a Tuple>) -> ColumnSegment {
+        let mut seg = ColumnSegment::new(arity);
+        for t in tuples {
+            seg.push(t);
+        }
+        seg
+    }
 
     fn t2(a: i64, b: i64) -> Tuple {
         Tuple::from([Value::Int(a), Value::Int(b)])
@@ -149,18 +150,28 @@ mod tests {
     #[test]
     fn packs_rows_in_order() {
         let tuples = vec![t2(3, 4), t2(1, 2), t2(5, 6)];
-        let seg = ColumnSegment::from_tuples(2, &tuples);
+        let seg = pack(2, &tuples);
         assert_eq!(seg.len(), 3);
-        assert_eq!(seg.arity(), 2);
         assert_eq!(seg.row(1), &[Value::Int(1), Value::Int(2)]);
         let back: Vec<Tuple> = seg.rows().map(Tuple::new).collect();
         assert_eq!(back, tuples);
     }
 
     #[test]
+    fn take_moves_the_rows_and_leaves_an_empty_segment() {
+        let mut tail = ColumnSegment::new(2);
+        tail.push(&[Value::Int(3), Value::Int(4)]);
+        tail.push(&[Value::Int(1), Value::Int(2)]);
+        let frozen = tail.take();
+        assert!(tail.is_empty());
+        let back: Vec<Tuple> = frozen.rows().map(Tuple::new).collect();
+        assert_eq!(back, vec![t2(3, 4), t2(1, 2)], "append order, unsorted");
+    }
+
+    #[test]
     fn range_iteration_matches_skip_take() {
         let tuples: Vec<Tuple> = (0..10).map(|k| t2(k, k + 1)).collect();
-        let seg = ColumnSegment::from_tuples(2, &tuples);
+        let seg = pack(2, &tuples);
         for (lo, hi) in [(0, 0), (0, 10), (3, 7), (9, 10)] {
             let ranged: Vec<&[Value]> = seg.rows_range(lo, hi).collect();
             let skipped: Vec<&[Value]> = seg.rows().skip(lo).take(hi - lo).collect();
@@ -171,7 +182,7 @@ mod tests {
     #[test]
     fn arity_zero_counts_rows_without_values() {
         let tuples = vec![Tuple::from([]), Tuple::from([])];
-        let seg = ColumnSegment::from_tuples(0, &tuples);
+        let seg = pack(0, &tuples);
         assert_eq!(seg.len(), 2);
         assert_eq!(seg.rows().count(), 2);
         assert_eq!(seg.row(0), &[] as &[Value]);
@@ -181,7 +192,7 @@ mod tests {
     #[test]
     fn exact_size_is_reported() {
         let tuples: Vec<Tuple> = (0..5).map(|k| t2(k, k)).collect();
-        let seg = ColumnSegment::from_tuples(2, &tuples);
+        let seg = pack(2, &tuples);
         let mut it = seg.rows();
         assert_eq!(it.len(), 5);
         it.next();
@@ -192,6 +203,6 @@ mod tests {
     #[should_panic(expected = "arity mismatch")]
     fn arity_is_checked() {
         let t = Tuple::from([Value::Int(1)]);
-        let _ = ColumnSegment::from_tuples(2, [&t]);
+        let _ = pack(2, [&t]);
     }
 }

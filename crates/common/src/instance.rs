@@ -69,17 +69,23 @@ impl Instance {
         self.ensure(name, arity).insert(tuple)
     }
 
+    /// Inserts a fact given as a borrowed row (no `Tuple` allocation).
+    /// Creates the relation if needed.
+    pub fn insert_row(&mut self, name: Symbol, row: &[Value]) -> bool {
+        self.ensure(name, row.len()).insert_row(row)
+    }
+
     /// Retracts a fact as a tombstone on its relation's generational
     /// storage (see [`Relation::retract`]). Returns `false` if the fact
     /// (or its relation) is absent.
-    pub fn retract_fact(&mut self, name: Symbol, tuple: &Tuple) -> bool {
+    pub fn retract_fact(&mut self, name: Symbol, tuple: &[Value]) -> bool {
         self.relations
             .get_mut(&name)
             .is_some_and(|r| r.retract(tuple))
     }
 
     /// True iff the fact is present.
-    pub fn contains_fact(&self, name: Symbol, tuple: &Tuple) -> bool {
+    pub fn contains_fact(&self, name: Symbol, tuple: &[Value]) -> bool {
         self.relations.get(&name).is_some_and(|r| r.contains(tuple))
     }
 

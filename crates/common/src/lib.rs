@@ -59,5 +59,5 @@ pub use trace::{
     gauge_tree, hottest_rules, sum_gauge, to_chrome_json, validate_chrome_trace, Span, SpanGuard,
     SpanKind, Tracer,
 };
-pub use tuple::Tuple;
+pub use tuple::{Tuple, TupleRef};
 pub use value::Value;

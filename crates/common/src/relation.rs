@@ -1,33 +1,39 @@
 //! Relations (finite sets of constant tuples) and hash indexes over them.
 //!
-//! Storage is *generational*: a relation keeps an immutable list of frozen,
-//! internally sorted **stable segments** plus a mutable, insertion-ordered
-//! **recent tail**. [`Relation::commit`] promotes the tail into a new frozen
-//! segment. A [`Generation`] is a cheap copyable cursor `(epoch, segments,
-//! recent)` into that layout; [`Relation::iter_since`] enumerates exactly the
-//! tuples added after a captured generation, which is what semi-naive
-//! evaluation needs for its per-round deltas, and what [`Index::absorb_from`]
-//! needs to maintain hash indexes incrementally instead of rebuilding them
-//! from scratch on every version bump.
+//! A relation stores each fact once, as a row of packed, arity-strided
+//! [`ColumnSegment`]s: a list of frozen **segments**, shared by clones
+//! through `Arc`, followed by the **recent tail**, the segment inserts
+//! append to. A row's position in that concatenation is its **row id**.
+//! [`Relation::commit`] moves the tail's buffer into a new frozen
+//! segment without sorting or copying it, so storage order is insertion
+//! order and row ids never move within an epoch.
 //!
-//! Physically, frozen segments are **columnar**: each is a single
-//! arity-strided `Vec<Value>` ([`ColumnSegment`]) rather than a
-//! `Vec<Tuple>` of per-tuple boxes, so scans walk one contiguous
-//! allocation and hand out borrowed `&[Value]` rows without pointer
-//! chasing. The recent tail still holds owned [`Tuple`]s (it is built
-//! incrementally, one insert at a time); [`Relation::commit`] is the
-//! point where rows get packed. [`Index`] is open-addressing over the
-//! same packed representation: probe and absorb never allocate a
-//! per-tuple box.
+//! Membership is an open-addressing table of row ids over that same
+//! storage, shared by clones and copied on first write: cloning a
+//! relation copies its tail and its segment list, nothing per fact.
+//! Retraction leaves a *tombstone*: the row stays in place, marked dead in
+//! a liveness bitmap, its id goes to the tombstone log, and every scan
+//! skips it. Re-inserting a retracted tuple appends a fresh live copy.
+//! Dead rows are compacted away, under a fresh epoch, once they make up
+//! half of the storage.
+//!
+//! A [`Generation`] is a cheap copyable cursor `(epoch, segments, recent,
+//! retracted)` into that layout. [`Relation::iter_since`] enumerates
+//! exactly the rows added after a captured generation and
+//! [`Relation::retracted_since`] the rows retracted after it: the
+//! per-round deltas of semi-naive evaluation, and what [`Index::absorb_from`]
+//! needs to maintain hash indexes incrementally instead of rebuilding
+//! them. [`Index`] is open-addressing over packed rows too: probe and
+//! absorb never allocate a per-tuple box.
 
 use crate::columnar::ColumnSegment;
 use crate::hash::{hash_one, FxHashSet, FxHasher};
 use crate::space::{tuple_bytes, HeapSize, SpaceNode, TUPLE_HEADER_BYTES, VALUE_BYTES};
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, TupleRef};
 use crate::value::Value;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 /// Global source of epoch identifiers. Epochs are unique across all
 /// relations in the process, so a generation captured from one relation can
@@ -38,14 +44,20 @@ fn next_epoch() -> u64 {
     EPOCH_SOURCE.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Dead rows are compacted once there are at least this many of them and
+/// they make up half of the stored rows: amortized O(1) per retraction,
+/// and small relations keep their cursors exact.
+const COMPACT_MIN_DEAD: usize = 64;
+
 /// A cursor into a relation's generational storage.
 ///
-/// `epoch` identifies the append-only lineage the cursor belongs to: any
-/// non-append mutation (remove, clear, difference) — and the first mutation
-/// after the relation was cloned while the clone is still alive — moves the
-/// relation to a fresh, globally unique epoch. Within one epoch, storage
-/// only grows, so `(segments, recent)` prefix counts fully describe a past
-/// state and the suffix beyond them is exactly "what was added since".
+/// `epoch` identifies the append-only lineage the cursor belongs to: a
+/// removal, clear, difference or compaction — and the first mutation
+/// after the relation was cloned while the clone is still alive — moves
+/// the relation to a fresh, globally unique epoch. Within one epoch,
+/// storage only grows, so `(segments, recent)` prefix counts fully
+/// describe a past state and the suffix beyond them is exactly "what was
+/// added since".
 ///
 /// The default generation (`epoch == 0`) matches no real relation; treating
 /// it as a delta mark means "everything is new", which is the correct
@@ -63,73 +75,123 @@ pub struct Generation {
     pub retracted: usize,
 }
 
-/// A `Sync`-safe single-slot memo keyed by `(epoch, version)`.
-///
-/// Replaces the former `Cell`/`RefCell` caches so `Relation` (and thus
-/// `Instance`) is `Sync` and can be shared read-only across worker
-/// threads. The key includes the epoch, not the version alone: two
-/// diverged clones can independently mutate their way to the *same*
-/// version number with different contents, and each clone deep-copies
-/// the memo on `Clone`, so a version-only key could alias a stale view
-/// after clone → diverge. The lock is uncontended in practice (one
-/// writer thread between parallel rounds) and poison-tolerant: a
-/// panicking reader cannot corrupt a cache slot, so we just take the
-/// inner value.
-#[derive(Debug, Default)]
-struct Memo<T> {
-    slot: Mutex<Option<((u64, u64), T)>>,
+/// A linear-probe hash table of ids, compared through the data they
+/// name: a relation's membership table (row ids, keyed by whole rows)
+/// and an [`Index`]'s bucket table (bucket ids, keyed by key columns).
+/// A slot holds `tag << 32 | (id + 1)`, or `0` when empty; `tag` is the
+/// high half of the key's hash, and its top bits pick the home slot, so
+/// the table grows and deletes without rehashing a key.
+#[derive(Clone, Debug, Default)]
+struct IdTable {
+    slots: Vec<u64>,
+    /// `32 - log2(slots.len())`: shifts a tag down to its home slot.
+    shift: u32,
+    len: usize,
 }
 
-impl<T: Clone> Memo<T> {
-    /// The cached value if it was stored under exactly `key`.
-    fn get(&self, key: (u64, u64)) -> Option<T> {
-        let slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        slot.as_ref()
-            .filter(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
+impl IdTable {
+    fn home(&self, tag: u32) -> usize {
+        (tag >> self.shift) as usize
     }
 
-    /// Stores `value` under `key`, displacing any previous entry.
-    fn set(&self, key: (u64, u64), value: T) {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        *slot = Some((key, value));
-    }
-}
-
-impl<T: Clone> Clone for Memo<T> {
-    fn clone(&self) -> Self {
-        let slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        Memo {
-            slot: Mutex::new(slot.clone()),
+    /// The slot of the id that `matches` accepts among those tagged
+    /// `tag`, or else the empty slot where such an id goes.
+    fn find(&self, tag: u32, matches: impl Fn(usize) -> bool) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
         }
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            match self.slots[i] {
+                0 => return Err(i),
+                s if (s >> 32) as u32 == tag && matches(s as u32 as usize - 1) => return Ok(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn id_at(&self, slot: usize) -> usize {
+        self.slots[slot] as u32 as usize - 1
+    }
+
+    /// Stores `id` in `slot`, the empty slot [`IdTable::find`] returned
+    /// for `tag`, growing the table to keep its load at most 3/4.
+    fn put(&mut self, slot: usize, tag: u32, id: usize) {
+        let id = u32::try_from(id + 1).expect("id table outgrew 2^32 - 1 ids");
+        let entry = u64::from(tag) << 32 | u64::from(id);
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let grown = vec![0; (self.slots.len() * 2).max(16)];
+            let old = std::mem::replace(&mut self.slots, grown);
+            self.shift = 32 - self.slots.len().trailing_zeros();
+            for e in old.into_iter().chain([entry]).filter(|&e| e != 0) {
+                let mask = self.slots.len() - 1;
+                let mut i = self.home((e >> 32) as u32);
+                while self.slots[i] != 0 {
+                    i = (i + 1) & mask;
+                }
+                self.slots[i] = e;
+            }
+        } else {
+            self.slots[slot] = entry;
+        }
+        self.len += 1;
+    }
+
+    /// Empties `hole`, shifting the rest of its probe run back so that
+    /// every remaining entry stays reachable from its home slot.
+    fn take(&mut self, mut hole: usize) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let entry = self.slots[i];
+            if entry == 0 {
+                break;
+            }
+            let home = self.home((entry >> 32) as u32);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = entry;
+                hole = i;
+            }
+        }
+        self.slots[hole] = 0;
+        self.len -= 1;
     }
 }
 
 /// A finite relation instance: a set of same-arity tuples.
 ///
-/// Alongside the generational segment storage, the relation keeps a flat
-/// hash set of all tuples for O(1) membership, a `version` counter bumped on
-/// every content change (used to invalidate the cached [`fingerprint`] and
-/// [`sorted`] views), and the epoch stamp described on [`Generation`].
+/// Besides the storage described in the module docs, the relation keeps a
+/// `version` counter bumped on every content change, which also drops the
+/// cached [`fingerprint`] and [`sorted`] views, and the epoch stamp
+/// described on [`Generation`]. A clone copies the cached views, which
+/// hold for its contents until its own first change.
 ///
 /// [`fingerprint`]: Relation::fingerprint
 /// [`sorted`]: Relation::sorted
 #[derive(Clone, Debug)]
 pub struct Relation {
     arity: usize,
-    /// Membership set over segments ∪ recent (each tuple stored once there).
-    set: FxHashSet<Tuple>,
-    /// Frozen, internally sorted columnar runs; shared by clones via `Arc`.
+    /// Frozen packed segments in storage order; shared by clones.
     segments: Vec<Arc<ColumnSegment>>,
-    /// Uncommitted tail in insertion order, already deduplicated.
-    recent: Vec<Tuple>,
-    /// Tombstone log: tuples retracted from this lineage, in retraction
-    /// order. Their physical copies stay in `segments`/`recent` (so
-    /// generation cursors remain storage prefixes) but they are absent
-    /// from `set`, and every iterator filters them out. Append-only
-    /// within an epoch, which is what lets [`Relation::retracted_since`]
-    /// enumerate exactly the tombstones added after a mark.
-    retracted: Vec<Tuple>,
+    /// Row id of each segment's first row.
+    starts: Vec<usize>,
+    /// Uncommitted rows in insertion order.
+    recent: ColumnSegment,
+    /// Membership: ids of the live rows; shared by clones, copied on
+    /// first write.
+    members: Arc<IdTable>,
+    /// Liveness bitmap: bit `id` is set once row `id` died. Shared by
+    /// clones, copied on first write; rows past its end are live.
+    dead: Arc<Vec<u64>>,
+    /// Number of dead rows in storage.
+    dead_rows: usize,
+    /// Tombstone log: ids of the rows retracted in this lineage, in
+    /// retraction order. Append-only within an epoch, which is what lets
+    /// [`Relation::retracted_since`] enumerate exactly the tombstones
+    /// added after a mark.
+    retracted: Vec<usize>,
     /// Lineage stamp; see [`Generation`].
     epoch: u64,
     /// Shared token used to detect live clones: a mutation observed while
@@ -137,10 +199,10 @@ pub struct Relation {
     /// postings absorbed from them) can never alias this relation's storage.
     epoch_token: Arc<()>,
     version: u64,
-    /// `(epoch, version)`-keyed memo for [`Relation::fingerprint`].
-    fingerprint_cache: Memo<u64>,
-    /// `(epoch, version)`-keyed memo for [`Relation::sorted`].
-    sorted_cache: Memo<Arc<Vec<Tuple>>>,
+    /// [`Relation::fingerprint`] of the current contents, once computed.
+    fingerprint_cache: OnceLock<u64>,
+    /// [`Relation::sorted`] of the current contents, once computed.
+    sorted_cache: OnceLock<Arc<Vec<Tuple>>>,
 }
 
 impl Relation {
@@ -148,15 +210,18 @@ impl Relation {
     pub fn new(arity: usize) -> Self {
         Relation {
             arity,
-            set: FxHashSet::default(),
             segments: Vec::new(),
-            recent: Vec::new(),
+            starts: Vec::new(),
+            recent: ColumnSegment::new(arity),
+            members: Arc::default(),
+            dead: Arc::default(),
+            dead_rows: 0,
             retracted: Vec::new(),
             epoch: next_epoch(),
             epoch_token: Arc::new(()),
             version: 0,
-            fingerprint_cache: Memo::default(),
-            sorted_cache: Memo::default(),
+            fingerprint_cache: OnceLock::new(),
+            sorted_cache: OnceLock::new(),
         }
     }
 
@@ -179,12 +244,12 @@ impl Relation {
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.members.len
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len() == 0
     }
 
     /// The mutation counter. Two calls returning the same value guarantee
@@ -205,7 +270,7 @@ impl Relation {
         }
     }
 
-    /// Number of live tombstones in the retraction log.
+    /// Number of tombstones in the retraction log.
     pub fn tombstone_count(&self) -> usize {
         self.retracted.len()
     }
@@ -220,46 +285,34 @@ impl Relation {
         self.recent.len()
     }
 
-    /// Tuple counts of the frozen stable segments, in storage order.
+    /// Row counts of the frozen stable segments, in storage order.
     pub fn segment_lens(&self) -> Vec<usize> {
         self.segments.iter().map(|s| s.len()).collect()
     }
 
     /// The relation's [`SpaceNode`]: one child per frozen segment, one
-    /// for the recent tail, one for the membership set (which owns its
-    /// own clone of every tuple). `items` on the branch is the logical
+    /// for the recent tail, one for the membership table (charged one
+    /// stored tuple per live fact). `items` on the branch is the logical
     /// cardinality, not the child sum — see the invariant note on
     /// [`SpaceNode`].
     pub fn space_node(&self, name: &str) -> SpaceNode {
-        let per_tuple = tuple_bytes(self.arity) as u64;
-        let mut children = Vec::with_capacity(self.segments.len() + 2);
-        for (i, seg) in self.segments.iter().enumerate() {
-            children.push(SpaceNode::leaf(
-                format!("segment {i}"),
-                seg.len() as u64,
-                seg.len() as u64 * per_tuple,
-            ));
-        }
-        children.push(SpaceNode::leaf(
-            "recent tail",
-            self.recent.len() as u64,
-            self.recent.len() as u64 * per_tuple,
-        ));
-        children.push(SpaceNode::leaf(
-            "membership set",
-            self.set.len() as u64,
-            self.set.len() as u64 * per_tuple,
-        ));
+        let leaf = |label: String, rows: usize| {
+            SpaceNode::leaf(label, rows as u64, (rows * tuple_bytes(self.arity)) as u64)
+        };
+        let mut children: Vec<SpaceNode> = self
+            .segments
+            .iter()
+            .enumerate()
+            .map(|(i, seg)| leaf(format!("segment {i}"), seg.len()))
+            .collect();
+        children.push(leaf("recent tail".into(), self.recent.len()));
+        children.push(leaf("membership table".into(), self.len()));
         if !self.retracted.is_empty() {
-            children.push(SpaceNode::leaf(
-                "tombstone log",
-                self.retracted.len() as u64,
-                self.retracted.len() as u64 * per_tuple,
-            ));
+            children.push(leaf("tombstone log".into(), self.retracted.len()));
         }
         SpaceNode::branch(
             format!("{name}/{}", self.arity),
-            self.set.len() as u64,
+            self.len() as u64,
             children,
         )
     }
@@ -276,14 +329,53 @@ impl Relation {
         }
     }
 
-    /// Membership test.
-    pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.set.contains(tuple)
+    /// Records a content change: bumps the version and drops the cached
+    /// views.
+    fn changed(&mut self) {
+        self.version += 1;
+        self.fingerprint_cache = OnceLock::new();
+        self.sorted_cache = OnceLock::new();
     }
 
-    /// Membership test for a borrowed row (no `Tuple` allocation).
-    pub fn contains_row(&self, row: &[Value]) -> bool {
-        self.set.contains(row)
+    /// Starts a fresh lineage: every earlier cursor stops matching.
+    fn new_epoch(&mut self) {
+        self.epoch_token = Arc::new(());
+        self.epoch = next_epoch();
+        self.retracted.clear();
+    }
+
+    /// Stored row `id`, live or dead.
+    fn row(&self, id: usize) -> &[Value] {
+        let frozen = self.frozen_len();
+        if id >= frozen {
+            return self.recent.row(id - frozen);
+        }
+        let s = self.starts.partition_point(|&start| start <= id) - 1;
+        self.segments[s].row(id - self.starts[s])
+    }
+
+    /// Number of rows in the frozen segments: the tail's first row id.
+    fn frozen_len(&self) -> usize {
+        self.segments
+            .last()
+            .map_or(0, |seg| self.starts[self.starts.len() - 1] + seg.len())
+    }
+
+    fn is_live(&self, id: usize) -> bool {
+        self.dead
+            .get(id / 64)
+            .is_none_or(|w| w >> (id % 64) & 1 == 0)
+    }
+
+    /// The membership slot of the live row equal to `row` (whose tag is
+    /// `tag`), or the empty slot where it would go.
+    fn find(&self, tag: u32, row: &[Value]) -> Result<usize, usize> {
+        self.members.find(tag, |id| self.row(id) == row)
+    }
+
+    /// Membership test (no `Tuple` needed: any borrowed row will do).
+    pub fn contains(&self, row: &[Value]) -> bool {
+        !self.is_empty() && self.find(key_tag(row.iter()), row).is_ok()
     }
 
     /// Inserts a tuple, returning `true` if it was new.
@@ -291,56 +383,77 @@ impl Relation {
     /// # Panics
     /// Panics if the tuple's arity does not match the relation's.
     pub fn insert(&mut self, tuple: Tuple) -> bool {
+        self.insert_row(&tuple)
+    }
+
+    /// Inserts a borrowed row, returning `true` if it was new: the row is
+    /// appended to the packed tail, even when a retracted copy of it is
+    /// still in storage.
+    ///
+    /// # Panics
+    /// Panics if the row's arity does not match the relation's.
+    pub fn insert_row(&mut self, row: &[Value]) -> bool {
         assert_eq!(
-            tuple.arity(),
+            row.len(),
             self.arity,
             "arity mismatch: relation has arity {}, tuple has arity {}",
             self.arity,
-            tuple.arity()
+            row.len()
         );
-        if self.set.contains(&tuple) {
+        let tag = key_tag(row.iter());
+        let Err(slot) = self.find(tag, row) else {
             return false;
-        }
-        if self.retracted.contains(&tuple) {
-            // Reviving a tombstoned tuple: its dead physical copy is
-            // still in storage, so a plain append would make iterators
-            // yield it twice. Collapse to the live set (dropping the
-            // tombstone log) under a fresh epoch instead.
-            self.epoch = next_epoch();
-            self.epoch_token = Arc::new(());
-            self.collapse_to_set();
-        } else {
-            self.fork_epoch_if_shared();
-        }
-        self.set.insert(tuple.clone());
-        self.recent.push(tuple);
-        self.version += 1;
+        };
+        self.fork_epoch_if_shared();
+        let id = self.stored_len();
+        self.recent.push(row);
+        Arc::make_mut(&mut self.members).put(slot, tag, id);
+        self.changed();
         true
+    }
+
+    /// Marks the live row equal to `row` dead and drops it from the
+    /// membership table, returning its id.
+    fn kill(&mut self, row: &[Value]) -> Option<usize> {
+        if self.is_empty() {
+            return None;
+        }
+        let slot = self.find(key_tag(row.iter()), row).ok()?;
+        self.fork_epoch_if_shared();
+        let members = Arc::make_mut(&mut self.members);
+        let id = members.id_at(slot);
+        members.take(slot);
+        let dead = Arc::make_mut(&mut self.dead);
+        if dead.len() <= id / 64 {
+            dead.resize(id / 64 + 1, 0);
+        }
+        dead[id / 64] |= 1 << (id % 64);
+        self.dead_rows += 1;
+        self.changed();
+        Some(id)
     }
 
     /// Retracts a tuple as a *tombstone*, returning `true` if it was
     /// present.
     ///
     /// Unlike [`Relation::remove`], retraction preserves the append-only
-    /// lineage: the physical copy stays where it is, the tuple is dropped
-    /// from the membership set, and a tombstone is appended to the
-    /// retraction log. Generation cursors captured earlier in this epoch
-    /// stay exact — [`Relation::iter_since`] simply filters the dead
-    /// tuples out and [`Relation::retracted_since`] enumerates the
-    /// tombstones added since the mark, which is what lets indexes
-    /// un-append postings instead of rebuilding.
+    /// lineage: the row stays where it is, marked dead, and its id is
+    /// appended to the tombstone log. Generation cursors captured earlier
+    /// in this epoch stay exact — [`Relation::iter_since`] skips dead
+    /// rows and [`Relation::retracted_since`] enumerates the tombstones
+    /// added since the mark, which is what lets indexes un-append postings
+    /// instead of rebuilding. Only the compaction that follows once dead
+    /// rows make up half of the storage moves to a fresh epoch.
     ///
     /// The epoch still forks when a live clone shares the storage:
     /// sibling clones with diverging tombstone logs must never answer
     /// each other's cursors.
-    pub fn retract(&mut self, tuple: &Tuple) -> bool {
-        if !self.set.contains(tuple) {
+    pub fn retract(&mut self, tuple: &[Value]) -> bool {
+        let Some(id) = self.kill(tuple) else {
             return false;
-        }
-        self.fork_epoch_if_shared();
-        self.set.remove(tuple);
-        self.retracted.push(tuple.clone());
-        self.version += 1;
+        };
+        self.retracted.push(id);
+        self.compact_if_sparse();
         true
     }
 
@@ -349,82 +462,75 @@ impl Relation {
     /// A removal breaks the append-only lineage (a hole invalidates every
     /// previously captured prefix cursor), so the relation moves to a fresh
     /// epoch and generational consumers fall back to full rebuilds.
-    pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        if !self.set.remove(tuple) {
+    pub fn remove(&mut self, tuple: &[Value]) -> bool {
+        if self.kill(tuple).is_none() {
             return false;
         }
-        self.version += 1;
-        self.epoch = next_epoch();
-        self.epoch_token = Arc::new(());
-        if let Some(pos) = self.recent.iter().position(|t| t == tuple) {
-            self.recent.remove(pos);
-        } else {
-            self.collapse_to_set();
-        }
+        self.new_epoch();
+        self.compact_if_sparse();
         true
     }
 
-    /// Rebuilds storage as a single recent tail holding exactly the members
-    /// of `set`, preserving the previous storage order. Used after removals
-    /// that punched holes into frozen segments.
-    fn collapse_to_set(&mut self) {
-        let mut all: Vec<Tuple> = Vec::with_capacity(self.set.len());
-        for seg in &self.segments {
-            for row in seg.rows() {
-                if self.set.contains(row) {
-                    all.push(Tuple::new(row));
-                }
-            }
+    /// Compacts once dead rows are many enough (see [`COMPACT_MIN_DEAD`]).
+    fn compact_if_sparse(&mut self) {
+        if self.dead_rows >= COMPACT_MIN_DEAD && self.dead_rows * 2 >= self.stored_len() {
+            self.compact();
         }
-        for t in self.recent.drain(..) {
-            if self.set.contains(&t) {
-                all.push(t);
-            }
+    }
+
+    /// Rewrites storage as one tail holding the live rows in storage
+    /// order, under a fresh epoch.
+    fn compact(&mut self) {
+        let mut recent = ColumnSegment::new(self.arity);
+        let mut members = IdTable::default();
+        for (id, row) in self.iter_stored().enumerate() {
+            recent.push(row);
+            let tag = key_tag(row.iter());
+            let slot = members.find(tag, |_| false).unwrap_err();
+            members.put(slot, tag, id);
         }
         self.segments.clear();
-        self.recent = all;
-        self.retracted.clear();
+        self.starts.clear();
+        self.recent = recent;
+        self.members = Arc::new(members);
+        self.dead = Arc::default();
+        self.dead_rows = 0;
+        self.new_epoch();
     }
 
     /// Removes all tuples.
     pub fn clear(&mut self) {
-        if self.set.is_empty() && self.retracted.is_empty() {
+        if self.stored_len() == 0 {
             return;
         }
-        self.set.clear();
-        self.segments.clear();
-        self.recent.clear();
-        self.retracted.clear();
-        self.version += 1;
-        self.epoch = next_epoch();
-        self.epoch_token = Arc::new(());
+        *self = Relation {
+            version: self.version + 1,
+            ..Relation::new(self.arity)
+        };
     }
 
-    /// Freezes the recent tail into a new stable segment (sorted and
-    /// packed columnar), returning `true` if anything was committed.
+    /// Freezes the recent tail into a new stable segment, returning `true`
+    /// if anything was committed. The tail's buffer moves into the
+    /// segment as it is: rows keep their insertion order and their ids.
     /// Contents are unchanged, so the version does not move — only the
-    /// generation shape does. This is the point where per-tuple boxes
-    /// from the tail are flattened into one contiguous value buffer.
+    /// generation shape does.
     pub fn commit(&mut self) -> bool {
         if self.recent.is_empty() {
             return false;
         }
-        let mut seg = std::mem::take(&mut self.recent);
-        seg.sort_unstable();
-        self.segments
-            .push(Arc::new(ColumnSegment::from_tuples(self.arity, &seg)));
+        self.starts.push(self.frozen_len());
+        self.segments.push(Arc::new(self.recent.take()));
         true
     }
 
-    /// Iterates over the tuples in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + Clone {
-        self.set.iter()
+    /// Iterates over the tuples in storage order, as borrowed rows.
+    pub fn iter(&self) -> impl Iterator<Item = TupleRef<'_>> + Clone {
+        self.iter_stored().map(TupleRef::new)
     }
 
-    /// Iterates in storage order: frozen segments first (each internally
-    /// sorted), then the recent tail in insertion order. Every live tuple
-    /// appears exactly once as a borrowed row; tombstoned tuples are
-    /// skipped.
+    /// Iterates in storage order: frozen segments first, then the recent
+    /// tail, each in insertion order. Every live tuple appears exactly
+    /// once as a borrowed row; tombstoned rows are skipped.
     pub fn iter_stored(&self) -> impl Iterator<Item = &[Value]> + Clone {
         self.iter_stored_range(0, usize::MAX)
     }
@@ -471,23 +577,39 @@ impl Relation {
         lo: usize,
         hi: usize,
     ) -> impl Iterator<Item = &[Value]> + Clone {
-        let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        let all_live = self.retracted.is_empty();
-        rows_in_range(&self.segments[seg_from..], &self.recent[rec_from..], lo, hi)
-            .filter(move |row| all_live || self.set.contains(*row))
+        let (from, end) = (self.delta_start(gen), self.stored_len());
+        let a = from.saturating_add(lo).min(end);
+        let b = from.saturating_add(hi).clamp(a, end);
+        let all_live = self.dead_rows == 0;
+        let first = self
+            .starts
+            .partition_point(|&start| start <= a)
+            .saturating_sub(1);
+        let frozen = self.starts[first..].iter().zip(&self.segments[first..]);
+        let tail = (self.frozen_len(), &self.recent);
+        frozen
+            .map(|(&start, seg)| (start, &**seg))
+            .chain([tail])
+            .flat_map(move |(start, seg)| {
+                let lo = a.clamp(start, start + seg.len());
+                let hi = b.clamp(lo, start + seg.len());
+                (lo..hi).zip(seg.rows_range(lo - start, hi - start))
+            })
+            .filter(move |&(id, _)| all_live || self.is_live(id))
+            .map(|(_, row)| row)
     }
 
-    /// The tombstones appended since `gen` was captured from this
+    /// The tombstoned rows logged since `gen` was captured from this
     /// relation, in retraction order. Falls back to the whole log when
     /// `gen` belongs to another epoch — a conservative superset, since
-    /// every logged tuple is genuinely dead.
-    pub fn retracted_since(&self, gen: Generation) -> impl Iterator<Item = &Tuple> {
+    /// every logged row is genuinely dead.
+    pub fn retracted_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
         let from = if gen.epoch == self.epoch {
             gen.retracted.min(self.retracted.len())
         } else {
             0
         };
-        self.retracted[from..].iter()
+        self.retracted[from..].iter().map(|&id| self.row(id))
     }
 
     /// Exact delta bounds `(first new segment, first new recent index)` for
@@ -512,40 +634,42 @@ impl Relation {
         }
     }
 
+    /// The row id where the delta for `gen` starts (`0` when the delta
+    /// cannot be reconstructed exactly).
+    fn delta_start(&self, gen: Generation) -> usize {
+        match self.delta_bounds(gen) {
+            Some((s, _)) if s < self.segments.len() => self.starts[s],
+            Some((_, r)) => self.frozen_len() + r,
+            None => 0,
+        }
+    }
+
     /// Number of physical storage rows in the delta for `gen`, dead rows
     /// included: the driver length that [`Relation::iter_since_range`]
     /// partitions. O(#segments), so parallel workers can split a delta
     /// scan into contiguous morsels without first materializing it.
     pub fn delta_len(&self, gen: Generation) -> usize {
-        let (seg_from, rec_from) = self.delta_bounds(gen).unwrap_or((0, 0));
-        self.segments[seg_from..]
-            .iter()
-            .map(|s| s.len())
-            .sum::<usize>()
-            + (self.recent.len() - rec_from)
+        self.stored_len() - self.delta_start(gen)
     }
 
     /// Number of physical storage rows, dead rows included: the driver
     /// length that [`Relation::iter_stored_range`] partitions. Equals
     /// `len()` for tombstone-free relations.
     pub fn stored_len(&self) -> usize {
-        self.delta_len(Generation::default())
+        self.frozen_len() + self.recent.len()
     }
 
     /// Returns the tuples in sorted order as shared owned storage.
     ///
-    /// The view is cached per version: repeated calls between mutations
-    /// return the same `Arc` without re-sorting.
+    /// The view is cached until the next content change: repeated calls
+    /// in between return the same `Arc` without re-sorting.
     pub fn sorted(&self) -> Arc<Vec<Tuple>> {
-        let key = (self.epoch, self.version);
-        if let Some(cached) = self.sorted_cache.get(key) {
-            return cached;
-        }
-        let mut acc: Vec<Tuple> = self.set.iter().cloned().collect();
-        acc.sort_unstable();
-        let view = Arc::new(acc);
-        self.sorted_cache.set(key, Arc::clone(&view));
-        view
+        let view = self.sorted_cache.get_or_init(|| {
+            let mut acc: Vec<Tuple> = self.iter_stored().map(Tuple::new).collect();
+            acc.sort_unstable();
+            Arc::new(acc)
+        });
+        Arc::clone(view)
     }
 
     /// Inserts every tuple of `other`; returns the number actually added.
@@ -554,108 +678,65 @@ impl Relation {
     /// Panics if arities differ.
     pub fn union_with(&mut self, other: &Relation) -> usize {
         assert_eq!(self.arity, other.arity, "arity mismatch in union");
-        // Routed through `insert` so reviving a tombstoned tuple takes
-        // the collapse path there instead of appending a duplicate copy.
-        let mut added = 0;
-        for t in other.iter() {
-            if self.insert(t.clone()) {
-                added += 1;
-            }
-        }
-        added
+        other
+            .iter_stored()
+            .filter(|row| self.insert_row(row))
+            .count()
     }
 
     /// Set-difference in place; returns the number removed.
     pub fn difference_with(&mut self, other: &Relation) -> usize {
         assert_eq!(self.arity, other.arity, "arity mismatch in difference");
-        let mut removed = 0;
-        for t in other.iter() {
-            if self.set.remove(t) {
-                removed += 1;
-            }
-        }
+        let removed = other
+            .iter_stored()
+            .filter(|row| self.kill(row).is_some())
+            .count();
         if removed > 0 {
-            self.version += 1;
-            self.epoch = next_epoch();
-            self.epoch_token = Arc::new(());
-            self.collapse_to_set();
+            self.new_epoch();
+            self.compact_if_sparse();
         }
         removed
     }
 
     /// True iff both relations hold exactly the same tuples.
     pub fn same_tuples(&self, other: &Relation) -> bool {
-        self.arity == other.arity && self.set == other.set
+        self.arity == other.arity
+            && self.len() == other.len()
+            && other.iter_stored().all(|row| self.contains(row))
     }
 
     /// Collects the values occurring in the relation into `out`.
     pub fn collect_adom(&self, out: &mut FxHashSet<Value>) {
-        for t in self.iter() {
-            out.extend(t.values().iter().copied());
+        for row in self.iter_stored() {
+            out.extend(row.iter().copied());
         }
     }
 
     /// An order-independent 64-bit fingerprint of the contents.
     ///
     /// Computed as the wrapping sum of per-tuple hashes, so it does not
-    /// depend on hash-set iteration order. Used (together with relation
+    /// depend on storage order. Used (together with relation
     /// names) for instance-level state fingerprints in cycle detection.
-    /// Cached per version: convergence loops that fingerprint an unchanged
-    /// relation every round pay for one full pass, not one per round.
+    /// Cached until the next content change: convergence loops that
+    /// fingerprint an unchanged relation every round pay for one full
+    /// pass, not one per round.
     pub fn fingerprint(&self) -> u64 {
-        let key = (self.epoch, self.version);
-        if let Some(fp) = self.fingerprint_cache.get(key) {
-            return fp;
-        }
-        let fp = self
-            .set
-            .iter()
-            .fold(0u64, |acc, t| acc.wrapping_add(hash_one(t)));
-        self.fingerprint_cache.set(key, fp);
-        fp
+        *self.fingerprint_cache.get_or_init(|| {
+            self.iter_stored()
+                .fold(0u64, |acc, row| acc.wrapping_add(hash_one(&row)))
+        })
     }
 }
 
-/// Enumerates rows `lo..hi` of the concatenation `segments ++ recent`
-/// by jumping straight to the covering segment offsets (no per-row
-/// skipping, no allocation). Bounds outside the storage are clamped.
-fn rows_in_range<'a>(
-    segments: &'a [Arc<ColumnSegment>],
-    recent: &'a [Tuple],
-    lo: usize,
-    hi: usize,
-) -> impl Iterator<Item = &'a [Value]> + Clone {
-    let mut off = 0usize;
-    let frozen = segments.iter().flat_map(move |seg| {
-        let start = off;
-        off += seg.len();
-        let (a, b) = (lo.clamp(start, off), hi.clamp(start, off));
-        seg.rows_range(a - start, b.max(a) - start)
-    });
-    let seg_total: usize = segments.iter().map(|s| s.len()).sum();
-    let (a, b) = (
-        lo.clamp(seg_total, seg_total + recent.len()),
-        hi.clamp(seg_total, seg_total + recent.len()),
-    );
-    frozen.chain(
-        recent[a - seg_total..b.max(a) - seg_total]
-            .iter()
-            .map(|t| t.values()),
-    )
-}
-
 impl HeapSize for Relation {
-    /// One stored-tuple copy per segment row, recent-tail posting,
-    /// and membership-set entry. Computed from counts only (O(#segments)),
-    /// so engines can sample it after every rule application. The
-    /// *logical* byte model is layout-independent: a columnar row costs
-    /// the same `tuple_bytes(arity)` a boxed tuple did.
+    /// One stored-tuple copy per stored row (dead rows included), per
+    /// live fact in the membership table, and per tombstone. Computed
+    /// from counts only (O(#segments)), so engines can sample it after
+    /// every rule application. The *logical* byte model is
+    /// layout-independent: a packed row costs the same
+    /// `tuple_bytes(arity)` a boxed tuple did.
     fn heap_bytes(&self) -> usize {
-        let stored = self.segments.iter().map(|s| s.len()).sum::<usize>()
-            + self.recent.len()
-            + self.set.len()
-            + self.retracted.len();
-        stored * tuple_bytes(self.arity)
+        (self.stored_len() + self.len() + self.retracted.len()) * tuple_bytes(self.arity)
     }
 }
 
@@ -667,28 +748,18 @@ impl PartialEq for Relation {
 
 impl Eq for Relation {}
 
-/// Sentinel for "no slot / end of chain" in the open-addressing index.
+/// End of a posting chain.
 const NONE32: u32 = u32::MAX;
 
-/// Hashes the key columns of a packed row. Must agree with
-/// [`hash_key`]: both feed the same `Value` sequence to the hasher.
-fn hash_row_key(key_columns: &[usize], row: &[Value]) -> u64 {
+/// The table tag of a key given as a value sequence: the high half of
+/// its hash. Rows and extracted probe keys hash the same values alike.
+fn key_tag<'a>(values: impl Iterator<Item = &'a Value>) -> u32 {
     use std::hash::Hash;
     let mut h = FxHasher::default();
-    for &c in key_columns {
-        row[c].hash(&mut h);
-    }
-    h.finish()
-}
-
-/// Hashes an already-extracted probe key.
-fn hash_key(key: &[Value]) -> u64 {
-    use std::hash::Hash;
-    let mut h = FxHasher::default();
-    for v in key {
+    for v in values {
         v.hash(&mut h);
     }
-    h.finish()
+    (h.finish() >> 32) as u32
 }
 
 /// A hash index over a relation: tuples grouped by their values at a
@@ -700,13 +771,12 @@ fn hash_key(key: &[Value]) -> u64 {
 /// grew since the index was built, [`Index::absorb_from`] appends the new
 /// postings instead of rebuilding.
 ///
-/// The layout is open-addressing over packed columns, specialized for
-/// the columnar storage:
+/// The layout is open-addressing over packed columns:
 ///
-/// * `slots` is a power-of-two linear-probe table mapping key hashes to
-///   bucket ids;
+/// * `buckets` is the same linear-probe id table a relation uses for
+///   membership, mapping key tags to bucket ids;
 /// * bucket keys live packed in one `Vec<Value>` (stride = #key
-///   columns) with their hashes cached for cheap table growth;
+///   columns);
 /// * postings live packed in one `Vec<Value>` (stride = arity), linked
 ///   per bucket through a `next` chain that preserves append order.
 ///
@@ -717,12 +787,10 @@ fn hash_key(key: &[Value]) -> u64 {
 pub struct Index {
     key_columns: Vec<usize>,
     arity: usize,
-    /// Linear-probe slot table; `NONE32` marks an empty slot.
-    slots: Vec<u32>,
+    /// Bucket ids by key tag.
+    buckets: IdTable,
     /// Packed bucket keys, stride `key_columns.len()`.
     keys: Vec<Value>,
-    /// Cached key hash per bucket.
-    hashes: Vec<u64>,
     /// First posting per bucket (`NONE32` when the bucket is empty).
     heads: Vec<u32>,
     /// Last posting per bucket, for O(1) order-preserving append.
@@ -735,8 +803,6 @@ pub struct Index {
     rows: Vec<Value>,
     /// Per-posting chain links.
     next: Vec<u32>,
-    /// Total postings ever appended (dead ones included).
-    row_count: usize,
     /// Live postings across all buckets.
     live: usize,
     /// Buckets with at least one live posting.
@@ -748,15 +814,13 @@ impl Index {
         Index {
             key_columns: key_columns.to_vec(),
             arity,
-            slots: Vec::new(),
+            buckets: IdTable::default(),
             keys: Vec::new(),
-            hashes: Vec::new(),
             heads: Vec::new(),
             tails: Vec::new(),
             lens: Vec::new(),
             rows: Vec::new(),
             next: Vec::new(),
-            row_count: 0,
             live: 0,
             live_buckets: 0,
         }
@@ -764,11 +828,7 @@ impl Index {
 
     /// Builds the index. `key_columns` must be valid positions.
     pub fn build(relation: &Relation, key_columns: &[usize]) -> Self {
-        let mut idx = Index::empty(key_columns, relation.arity());
-        for row in relation.iter_stored() {
-            idx.append_row(row);
-        }
-        idx
+        Index::build_delta(relation, key_columns, Generation::default())
     }
 
     /// Builds an index over only the tuples added since `gen` — the shape
@@ -794,116 +854,35 @@ impl Index {
         &self.rows[r * a..r * a + a]
     }
 
-    /// True iff bucket `b`'s key equals `row`'s key columns.
-    fn key_matches_row(&self, b: usize, row: &[Value]) -> bool {
-        let k = self.key_columns.len();
-        self.key_columns
-            .iter()
-            .enumerate()
-            .all(|(j, &c)| self.keys[b * k + j] == row[c])
-    }
-
-    /// Grows (or seeds) the slot table so the load factor stays ≤ 3/4.
-    /// Buckets re-place by their cached hashes — no key re-hashing.
-    fn maybe_grow(&mut self) {
-        let buckets = self.heads.len();
-        if self.slots.is_empty() {
-            self.slots = vec![NONE32; 16];
-        } else if (buckets + 1) * 4 >= self.slots.len() * 3 {
-            let new_len = self.slots.len() * 2;
-            let mask = new_len - 1;
-            let mut slots = vec![NONE32; new_len];
-            for b in 0..buckets {
-                let mut i = (self.hashes[b] as usize) & mask;
-                while slots[i] != NONE32 {
-                    i = (i + 1) & mask;
-                }
-                slots[i] = b as u32;
-            }
-            self.slots = slots;
-        }
-    }
-
-    /// Finds the bucket for an extracted probe key, if present.
-    fn find_bucket_for_key(&self, h: u64, key: &[Value]) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            match self.slots[i] {
-                NONE32 => return None,
-                b => {
-                    let b = b as usize;
-                    if self.hashes[b] == h && self.key_of(b) == key {
-                        return Some(b);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Finds the bucket whose key matches `row`'s key columns, if present.
-    fn find_bucket_for_row(&self, h: u64, row: &[Value]) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            match self.slots[i] {
-                NONE32 => return None,
-                b => {
-                    let b = b as usize;
-                    if self.hashes[b] == h && self.key_matches_row(b, row) {
-                        return Some(b);
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Finds or creates the bucket for `row`'s key columns.
-    fn bucket_for_row(&mut self, h: u64, row: &[Value]) -> usize {
-        self.maybe_grow();
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            match self.slots[i] {
-                NONE32 => break,
-                b => {
-                    let b = b as usize;
-                    if self.hashes[b] == h && self.key_matches_row(b, row) {
-                        return b;
-                    }
-                }
-            }
-            i = (i + 1) & mask;
-        }
-        let b = self.heads.len();
-        for &c in &self.key_columns {
-            self.keys.push(row[c]);
-        }
-        self.hashes.push(h);
-        self.heads.push(NONE32);
-        self.tails.push(NONE32);
-        self.lens.push(0);
-        self.slots[i] = b as u32;
-        b
+    /// The slot of the bucket whose key equals `row`'s key columns, or the
+    /// empty slot where it would go.
+    fn find_row_bucket(&self, row: &[Value]) -> Result<usize, usize> {
+        let tag = key_tag(self.key_columns.iter().map(|&c| &row[c]));
+        let cols = &self.key_columns;
+        self.buckets.find(tag, |b| {
+            cols.iter().zip(self.key_of(b)).all(|(&c, v)| row[c] == *v)
+        })
     }
 
     /// Appends a posting for `row`, preserving append order per bucket.
     fn append_row(&mut self, row: &[Value]) {
         debug_assert_eq!(row.len(), self.arity);
-        let h = hash_row_key(&self.key_columns, row);
-        let b = self.bucket_for_row(h, row);
-        let r = self.row_count as u32;
+        let b = match self.find_row_bucket(row) {
+            Ok(slot) => self.buckets.id_at(slot),
+            Err(slot) => {
+                let b = self.heads.len();
+                let tag = key_tag(self.key_columns.iter().map(|&c| &row[c]));
+                self.buckets.put(slot, tag, b);
+                self.keys.extend(self.key_columns.iter().map(|&c| row[c]));
+                self.heads.push(NONE32);
+                self.tails.push(NONE32);
+                self.lens.push(0);
+                b
+            }
+        };
+        let r = self.next.len() as u32;
         self.rows.extend_from_slice(row);
         self.next.push(NONE32);
-        self.row_count += 1;
         if self.lens[b] == 0 {
             self.live_buckets += 1;
             self.heads[b] = r;
@@ -920,10 +899,10 @@ impl Index {
     /// postings: a tuple inserted *and* retracted since the index's
     /// generation was never appended in the first place.
     fn unappend(&mut self, row: &[Value]) {
-        let h = hash_row_key(&self.key_columns, row);
-        let Some(b) = self.find_bucket_for_row(h, row) else {
+        let Ok(slot) = self.find_row_bucket(row) else {
             return;
         };
+        let b = self.buckets.id_at(slot);
         let mut prev = NONE32;
         let mut cur = self.heads[b];
         while cur != NONE32 {
@@ -963,8 +942,8 @@ impl Index {
     /// exactly and the caller must rebuild.
     pub fn absorb_from(&mut self, relation: &Relation, gen: Generation) -> Option<usize> {
         relation.delta_bounds(gen)?;
-        for t in relation.retracted_since(gen) {
-            self.unappend(t.values());
+        for row in relation.retracted_since(gen) {
+            self.unappend(row);
         }
         let mut appended = 0;
         for row in relation.iter_since(gen) {
@@ -983,18 +962,20 @@ impl Index {
     /// borrowed packed rows. The iterator reports its exact length.
     pub fn probe(&self, key: &[Value]) -> Postings<'_> {
         debug_assert_eq!(key.len(), self.key_columns.len());
-        let h = hash_key(key);
-        match self.find_bucket_for_key(h, key) {
-            Some(b) => Postings {
-                index: self,
-                cur: self.heads[b],
-                remaining: self.lens[b] as usize,
-            },
-            None => Postings {
-                index: self,
-                cur: NONE32,
-                remaining: 0,
-            },
+        let found = self
+            .buckets
+            .find(key_tag(key.iter()), |b| self.key_of(b) == key);
+        let (cur, remaining) = match found {
+            Ok(slot) => {
+                let b = self.buckets.id_at(slot);
+                (self.heads[b], self.lens[b] as usize)
+            }
+            Err(_) => (NONE32, 0),
+        };
+        Postings {
+            index: self,
+            cur,
+            remaining,
         }
     }
 
@@ -1118,11 +1099,11 @@ mod tests {
         for k in [30, 10, 20] {
             r.insert(t2(1, k));
         }
-        r.commit(); // segment is sorted: (1,10), (1,20), (1,30)
+        r.commit(); // the segment keeps insertion order: (1,30), (1,10), (1,20)
         r.insert(t2(1, 5)); // tail appends after the segment
         let idx = Index::build(&r, &[0]);
         let got: Vec<Tuple> = idx.probe(&[Value::Int(1)]).map(Tuple::new).collect();
-        assert_eq!(got, vec![t2(1, 10), t2(1, 20), t2(1, 30), t2(1, 5)]);
+        assert_eq!(got, vec![t2(1, 30), t2(1, 10), t2(1, 20), t2(1, 5)]);
     }
 
     #[test]
@@ -1287,20 +1268,19 @@ mod tests {
     }
 
     /// Compile-time guard: shared-read parallel evaluation requires the
-    /// storage types to be `Send + Sync`; this fails to build if a memo
-    /// regresses to `Cell`/`RefCell`.
+    /// storage types to be `Send + Sync`; this fails to build if a cached
+    /// view regresses to `Cell`/`RefCell`.
     #[test]
     fn storage_types_are_send_and_sync() {
         fn assert_sync<T: Send + Sync>() {}
         assert_sync::<Relation>();
         assert_sync::<Index>();
         assert_sync::<Generation>();
-        assert_sync::<Memo<u64>>();
     }
 
     /// Two clones can diverge and then reach the *same* version number
-    /// with different contents. The memos are deep-copied per clone and
-    /// keyed by `(epoch, version)`, so neither clone may serve the other's
+    /// with different contents. Each clone drops its copy of the cached
+    /// views at its own first change, so neither may serve the other's
     /// (or its own stale pre-divergence) sorted view or fingerprint.
     #[test]
     fn diverged_clones_never_alias_cached_views() {
@@ -1334,9 +1314,11 @@ mod tests {
         r.commit();
         r.insert(t2(7, 8));
         assert_eq!(r.delta_len(mark), 3);
-        // Stale mark: conservative fallback counts the whole relation.
+        // Stale mark: conservative fallback counts the whole storage,
+        // whose live rows are the whole relation.
         r.remove(&t2(7, 8));
-        assert_eq!(r.delta_len(mark), r.len());
+        assert_eq!(r.delta_len(mark), r.stored_len());
+        assert_eq!(r.iter_since(mark).count(), r.len());
     }
 
     /// Contiguous ranges over the delta enumeration partition it exactly
@@ -1424,7 +1406,7 @@ mod tests {
         assert_eq!(delta, vec![t2(5, 6)]);
         assert_eq!(r.delta_len(mark), 1);
         // …and the tombstones since the mark are enumerable.
-        let dead: Vec<_> = r.retracted_since(mark).cloned().collect();
+        let dead: Vec<Tuple> = r.retracted_since(mark).map(Tuple::new).collect();
         assert_eq!(dead, vec![t2(1, 2)]);
         // Dead tuples vanish from every view.
         assert_eq!(r.iter_stored().count(), 2);
@@ -1491,29 +1473,73 @@ mod tests {
     }
 
     #[test]
-    fn reviving_a_tombstoned_tuple_collapses_storage() {
+    fn reviving_a_tombstoned_tuple_appends_a_fresh_copy() {
         let mut r = Relation::from_tuples(2, vec![t2(1, 2), t2(3, 4)]);
         r.commit();
         let mark = r.generation();
         r.retract(&t2(1, 2));
-        let epoch_before = r.generation().epoch;
         assert!(r.insert(t2(1, 2)), "revival counts as an insert");
-        assert_ne!(
-            r.generation().epoch,
-            epoch_before,
-            "revival must fork the epoch"
-        );
-        assert!(r.delta_bounds(mark).is_none(), "old cursors are refused");
-        assert_eq!(r.tombstone_count(), 0, "collapse drops the log");
-        // Exactly one physical copy per live tuple.
-        assert_eq!(r.iter_stored().count(), 2);
+        assert_eq!(r.generation().epoch, mark.epoch, "revival keeps the epoch");
+        assert_eq!(r.delta_bounds(mark), Some((1, 0)), "old cursors stay exact");
+        assert_eq!(r.tombstone_count(), 1, "the dead copy stays logged");
+        // One live copy per tuple; the dead one still takes a row.
         assert_eq!(r.len(), 2);
+        assert_eq!(r.iter_stored().count(), 2);
+        assert_eq!(r.stored_len(), 3);
+        // The cursor sees the revival as one retraction plus one append.
+        let delta: Vec<Tuple> = r.iter_since(mark).map(Tuple::new).collect();
+        assert_eq!(delta, vec![t2(1, 2)]);
+        let dead: Vec<Tuple> = r.retracted_since(mark).map(Tuple::new).collect();
+        assert_eq!(dead, vec![t2(1, 2)]);
+        // An index absorbs it as an unappend plus an append.
+        let mut r2 = Relation::from_tuples(2, vec![t2(1, 2), t2(1, 4)]);
+        let mut idx = Index::build(&r2, &[0]);
+        let mark2 = r2.generation();
+        r2.retract(&t2(1, 2));
+        r2.insert(t2(1, 2));
+        assert_eq!(idx.absorb_from(&r2, mark2), Some(1));
+        let got: Vec<Tuple> = idx.probe(&[Value::Int(1)]).map(Tuple::new).collect();
+        assert_eq!(got, vec![t2(1, 4), t2(1, 2)]);
         // Union-based merges take the same revival path.
         let mut a = Relation::from_tuples(2, vec![t2(7, 8)]);
         a.retract(&t2(7, 8));
         let b = Relation::from_tuples(2, vec![t2(7, 8)]);
         assert_eq!(a.union_with(&b), 1);
         assert_eq!(a.iter_stored().count(), 1);
+        assert!(a.contains(&t2(7, 8)));
+    }
+
+    /// Dead rows are compacted once they make up half of the storage:
+    /// storage then holds the live rows only, in their order, under a
+    /// fresh epoch; until then cursors stay exact.
+    #[test]
+    fn dead_rows_compact_once_they_fill_half_the_storage() {
+        let n = 2 * COMPACT_MIN_DEAD as i64;
+        let mut r = Relation::from_tuples(2, (0..n).map(|k| t2(k, k)));
+        r.commit();
+        let mark = r.generation();
+        for k in 0..COMPACT_MIN_DEAD as i64 - 1 {
+            r.retract(&t2(k, k));
+        }
+        assert_eq!(r.generation().epoch, mark.epoch);
+        assert_eq!(r.stored_len(), n as usize);
+        assert!(r.delta_bounds(mark).is_some());
+        r.retract(&t2(n - 1, n - 1)); // half of the rows are dead now
+        assert_ne!(r.generation().epoch, mark.epoch);
+        assert!(r.delta_bounds(mark).is_none());
+        assert_eq!(r.stored_len(), r.len());
+        assert_eq!(r.tombstone_count(), 0);
+        let live: Vec<Tuple> = r.iter().map(|t| t.to_tuple()).collect();
+        let expect: Vec<Tuple> = (COMPACT_MIN_DEAD as i64 - 1..n - 1)
+            .map(|k| t2(k, k))
+            .collect();
+        assert_eq!(live, expect);
+        for t in &expect {
+            assert!(r.contains(t));
+        }
+        assert!(!r.contains(&t2(0, 0)));
+        assert!(r.insert(t2(0, 0)));
+        assert_eq!(r.len(), expect.len() + 1);
     }
 
     #[test]

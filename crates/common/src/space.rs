@@ -18,9 +18,11 @@
 //! * a stored tuple is [`TUPLE_HEADER_BYTES`] for its inline
 //!   `Box<[Value]>` handle plus one value slot per column
 //!   ([`tuple_bytes`]);
-//! * a relation owns one stored-tuple copy per frozen-segment posting,
-//!   one per recent-tail posting, and one per membership-set entry
-//!   (the set really does hold its own clone of every tuple);
+//! * a relation owns one stored-tuple copy per stored row (frozen
+//!   segment or recent tail, dead rows included), one per live fact in
+//!   its membership table, and one per tombstone (the table holds row
+//!   ids, but is charged a tuple per fact so that byte gauges stay
+//!   comparable across storage layouts);
 //! * an index owns one boxed key per bucket plus one stored-tuple copy
 //!   per posting;
 //! * the interner owns every name twice (the id-to-name vector and the
@@ -72,8 +74,8 @@ pub trait HeapSize {
 /// `bytes` of a branch always equals the sum over its children (that is
 /// the additivity invariant `check_additive` verifies); `items` is the
 /// *logical* count for the label (e.g. a relation's cardinality), which
-/// intentionally need not be the child sum — a relation stores each
-/// tuple both in a segment and in its membership set.
+/// intentionally need not be the child sum — a relation is charged
+/// for each tuple both in a segment and in its membership table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpaceNode {
     /// Human label (`T/2`, `segment 0`, `interner`…).
@@ -129,7 +131,7 @@ impl SpaceNode {
 }
 
 /// The full space breakdown of an evaluation: instance relations (each
-/// split into frozen segments, recent tail, and membership set) plus
+/// split into frozen segments, recent tail, and membership table) plus
 /// the interner, rendered as an indented tree with deterministic byte
 /// gauges.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -92,6 +92,47 @@ impl<const N: usize> From<[Value; N]> for Tuple {
     }
 }
 
+/// A borrowed row of packed relation storage, with the read API of a
+/// [`Tuple`]: what [`Relation::iter`](crate::Relation::iter) yields, so
+/// walking a relation never allocates a per-fact box.
+///
+/// `clone` copies the row out as an owned `Tuple`, as it does on a
+/// `&Tuple`; the type is deliberately not `Clone`, so that is the only
+/// meaning `clone` has here.
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct TupleRef<'a>(&'a [Value]);
+
+impl<'a> TupleRef<'a> {
+    /// Wraps a borrowed row.
+    pub fn new(values: &'a [Value]) -> Self {
+        TupleRef(values)
+    }
+
+    /// The values as a slice borrowed from the storage.
+    pub fn values(&self) -> &'a [Value] {
+        self.0
+    }
+
+    /// Copies the row out as an owned [`Tuple`].
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple::new(self.0)
+    }
+
+    /// Copies the row out as an owned [`Tuple`] (see the type docs).
+    #[allow(clippy::should_implement_trait)]
+    pub fn clone(&self) -> Tuple {
+        self.to_tuple()
+    }
+}
+
+impl Deref for TupleRef<'_> {
+    type Target = [Value];
+
+    fn deref(&self) -> &[Value] {
+        self.0
+    }
+}
+
 /// Helper returned by [`Tuple::display`].
 pub struct DisplayTuple<'a> {
     tuple: &'a Tuple,

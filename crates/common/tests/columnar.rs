@@ -1,11 +1,12 @@
-//! Property suite for the columnar segment layout (`common::columnar`
+//! Property suite for the columnar storage layout (`common::columnar`
 //! behind `common::relation`).
 //!
-//! The columnar rewrite replaced the boxed `Vec<Tuple>` segments with
-//! arity-strided packed buffers. These tests pin the contract that made
-//! the swap safe, against a plain `Vec<Tuple>` reference model that
-//! mirrors the pre-columnar storage discipline (append to a tail;
-//! `commit` sorts the tail and freezes it as a segment):
+//! A relation stores each fact once, as a packed row: frozen segments
+//! plus a packed tail, with a membership table of row ids and a liveness
+//! bitmap beside them. These tests pin that discipline against a plain
+//! `Vec<Tuple>` reference model (append to a tail; `commit` freezes the
+//! tail as it is; retraction marks a row dead; re-insertion appends a
+//! fresh copy; dead rows compact once they fill half the storage):
 //!
 //! * a relation stays content-equal, and `iter_stored` stays
 //!   order-equal, through seeded random insert/commit/clone schedules
@@ -17,6 +18,8 @@
 //!   boundaries — no row missing, none repeated, order preserved —
 //!   and conservatively a superset for cursors orphaned mid-tail by a
 //!   later commit;
+//! * a retraction followed by a re-insertion keeps the epoch, and
+//!   cursors captured before either stay exact;
 //! * with retractions interleaved, morsel ranges over physical storage
 //!   rows (`iter_stored_range`, `iter_since_range`) concatenate, over
 //!   any partition of the driver length, to exactly `iter_stored` and
@@ -37,68 +40,89 @@ fn random_tuple(rng: &mut Rng, arity: usize, domain: i64) -> Tuple {
         .into()
 }
 
-/// The reference model: the storage discipline the previous boxed
-/// layout implemented, kept as plain `Vec<Tuple>`s, plus tombstones.
+/// The reference model: the storage discipline as plain `Vec`s of
+/// physical rows, each with its liveness flag.
 #[derive(Clone, Default)]
 struct RefModel {
-    /// Frozen prefix: concatenation of sorted segments.
-    frozen: Vec<Tuple>,
+    /// Frozen prefix: concatenation of the committed tails, unsorted.
+    frozen: Vec<(Tuple, bool)>,
     /// Uncommitted tail, in insertion order.
-    tail: Vec<Tuple>,
-    /// Retracted tuples whose physical copies stay in `frozen`/`tail`.
-    dead: Vec<Tuple>,
-    /// Bumped when reviving a dead tuple collapses storage, which
-    /// invalidates every earlier cursor.
+    tail: Vec<(Tuple, bool)>,
+    /// Bumped when compaction rewrites storage, which invalidates every
+    /// earlier cursor.
     epoch: usize,
 }
 
+/// Dead rows the relation lets accumulate before it compacts (at half
+/// of the storage).
+const COMPACT_MIN_DEAD: usize = 64;
+
 impl RefModel {
     fn contains(&self, t: &Tuple) -> bool {
-        (self.frozen.contains(t) || self.tail.contains(t)) && !self.dead.contains(t)
+        self.frozen
+            .iter()
+            .chain(&self.tail)
+            .any(|(row, live)| *live && row == t)
     }
 
+    /// Inserting appends, even when a dead copy is still stored.
     fn insert(&mut self, t: Tuple) -> bool {
         if self.contains(&t) {
             return false;
         }
-        if self.dead.contains(&t) {
-            // Reviving a tombstoned tuple collapses storage into one
-            // tail of the live rows, in storage order.
-            self.tail = self.stored();
-            self.frozen.clear();
-            self.dead.clear();
-            self.epoch += 1;
-        }
-        self.tail.push(t);
+        self.tail.push((t, true));
         true
     }
 
+    /// Marks the live copy dead; compacts once dead rows are at least
+    /// `COMPACT_MIN_DEAD` and half of the storage.
     fn retract(&mut self, t: &Tuple) -> bool {
-        if !self.contains(t) {
+        let Some(row) = self
+            .frozen
+            .iter_mut()
+            .chain(&mut self.tail)
+            .find(|(row, live)| *live && row == t)
+        else {
             return false;
+        };
+        row.1 = false;
+        let dead = self.physical().len() - self.len();
+        if dead >= COMPACT_MIN_DEAD && dead * 2 >= self.physical().len() {
+            self.tail = self.stored().into_iter().map(|t| (t, true)).collect();
+            self.frozen.clear();
+            self.epoch += 1;
         }
-        self.dead.push(t.clone());
         true
     }
 
     fn commit(&mut self) {
-        self.tail.sort_unstable();
         self.frozen.append(&mut self.tail);
     }
 
     /// Every physical row, dead ones included: frozen, then the tail.
     fn physical(&self) -> Vec<Tuple> {
-        let mut out = self.frozen.clone();
-        out.extend(self.tail.iter().cloned());
-        out
+        self.frozen
+            .iter()
+            .chain(&self.tail)
+            .map(|(t, _)| t.clone())
+            .collect()
+    }
+
+    /// The live rows among physical rows `from..`, in storage order.
+    fn live_from(&self, from: usize) -> Vec<Tuple> {
+        self.frozen
+            .iter()
+            .chain(&self.tail)
+            .skip(from)
+            .filter(|(_, live)| *live)
+            .map(|(t, _)| t.clone())
+            .collect()
     }
 
     /// Expected `iter_stored` order: live rows of frozen segments, then
     /// of the tail.
     fn stored(&self) -> Vec<Tuple> {
-        let mut out = self.physical();
-        out.retain(|t| !self.dead.contains(t));
-        out
+        self.live_from(0)
     }
 
     fn len(&self) -> usize {
@@ -138,7 +162,7 @@ fn assert_matches_model(rel: &Relation, model: &RefModel, context: &str) {
     let expected = model.stored();
     let packed: Vec<Tuple> = rel.iter_stored().map(Tuple::new).collect();
     assert_eq!(packed, expected, "{context}: iter_stored() order/content");
-    let mut boxed: Vec<Tuple> = rel.iter().cloned().collect();
+    let mut boxed: Vec<Tuple> = rel.iter().map(|t| t.to_tuple()).collect();
     let mut sorted = expected.clone();
     boxed.sort_unstable();
     sorted.sort_unstable();
@@ -246,7 +270,7 @@ fn iter_since_is_exact_at_freeze_boundaries_and_conservative_mid_tail() {
         let exact: Vec<Tuple> = rel.iter_since(mid_gen).map(Tuple::new).collect();
         assert_eq!(exact, late, "arity {arity}: mid-tail cursor before commit");
         // …and degrades to a conservative superset once a commit folds
-        // that tail into a sorted segment (semi-naive stays correct
+        // that tail into a segment (semi-naive stays correct
         // under supersets; exactness is only promised at boundaries).
         rel.commit();
         model.commit();
@@ -258,6 +282,36 @@ fn iter_since_is_exact_at_freeze_boundaries_and_conservative_mid_tail() {
             );
         }
         assert!(superset.len() <= rel.len());
+    }
+}
+
+#[test]
+fn retract_then_reinsert_keeps_the_epoch_and_earlier_cursors_exact() {
+    let mut rng = Rng::seeded(0xC07);
+    for arity in 1..=3 {
+        let mut rel = Relation::new(arity);
+        let mut model = RefModel::default();
+        grow(&mut rng, &mut rel, &mut model, arity, 40, 9);
+        rel.commit();
+        model.commit();
+        let mark = rel.generation();
+        let seen = model.physical().len();
+        let victims: Vec<Tuple> = model.stored().into_iter().take(5).collect();
+        for t in &victims {
+            assert!(rel.retract(t) && model.retract(t));
+            assert!(rel.insert(t.clone()) && model.insert(t.clone()));
+        }
+        let context = format!("arity {arity}");
+        assert_eq!(rel.generation().epoch, mark.epoch, "{context}: epoch kept");
+        assert_matches_model(&rel, &model, &context);
+        // The mark still names a storage prefix: its delta is exactly
+        // the revived copies, and its tombstones exactly the old ones.
+        let delta: Vec<Tuple> = rel.iter_since(mark).map(Tuple::new).collect();
+        assert_eq!(delta, model.live_from(seen), "{context}: delta");
+        assert_eq!(delta, victims, "{context}: revived copies");
+        let dead: Vec<Tuple> = rel.retracted_since(mark).map(Tuple::new).collect();
+        assert_eq!(dead, victims, "{context}: tombstones");
+        assert_eq!(rel.delta_len(mark), victims.len());
     }
 }
 
@@ -318,13 +372,12 @@ fn morsel_ranges_partition_scans_of_tombstoned_relations() {
                     // Still a storage prefix: the delta is exact.
                     let physical = model.physical();
                     assert_eq!(rel.delta_len(gen), physical.len() - seen, "{context}");
-                    let live: Vec<Tuple> = physical[seen..]
-                        .iter()
-                        .filter(|t| !model.dead.contains(t))
-                        .cloned()
-                        .collect();
                     let delta: Vec<Tuple> = delta.into_iter().map(Tuple::new).collect();
-                    assert_eq!(delta, live, "{context}, cursor {i}: exact delta");
+                    assert_eq!(
+                        delta,
+                        model.live_from(seen),
+                        "{context}, cursor {i}: exact delta"
+                    );
                 }
             }
         }
@@ -355,7 +408,7 @@ fn heap_bytes_are_deterministic_in_contents_and_additive() {
     assert_eq!(one_segment.heap_bytes(), many_segments.heap_bytes());
     assert_eq!(one_segment.heap_bytes(), unfrozen.heap_bytes());
     // The model: every stored copy costs tuple_bytes(arity) — one in
-    // the membership set, one in a segment or the tail.
+    // the membership table, one in a segment or the tail.
     assert_eq!(
         one_segment.heap_bytes(),
         2 * one_segment.len() * tuple_bytes(2)
@@ -388,7 +441,10 @@ fn column_segments_replay_tuples_verbatim() {
     let mut rng = Rng::seeded(0xC05);
     for arity in 0..=5 {
         let tuples: Vec<Tuple> = (0..50).map(|_| random_tuple(&mut rng, arity, 4)).collect();
-        let seg = ColumnSegment::from_tuples(arity, &tuples);
+        let mut seg = ColumnSegment::new(arity);
+        for t in &tuples {
+            seg.push(t);
+        }
         assert_eq!(seg.len(), tuples.len());
         let back: Vec<Tuple> = seg.rows().map(Tuple::new).collect();
         assert_eq!(back, tuples, "arity {arity}");

@@ -22,10 +22,10 @@ fn relation_bytes_count_every_stored_copy() {
     r.insert(t2(1, 2));
     r.insert(t2(3, 4));
     // Uncommitted: each tuple lives in the recent tail and in the
-    // membership set.
+    // membership table.
     assert_eq!(r.heap_bytes(), 4 * tuple_bytes(2));
     r.commit();
-    // Committed: same copies, now in a frozen segment and the set.
+    // Committed: same copies, now in a frozen segment and the table.
     assert_eq!(r.heap_bytes(), 4 * tuple_bytes(2));
     // A duplicate insert stores nothing.
     assert!(!r.insert(t2(1, 2)));

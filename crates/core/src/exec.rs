@@ -579,11 +579,14 @@ fn run_steps(
             ControlFlow::Continue(())
         }
         Step::CheckNeg { pred, args } => {
-            let tuple: Tuple = args.iter().map(|t| term_value(t, env)).collect();
+            // The checked row goes through the probe-key buffer: it is
+            // free again once the membership test has read it.
+            let mut row = std::mem::take(&mut worker.key);
+            row.clear();
+            row.extend(args.iter().map(|t| term_value(t, env)));
             let neg_instance = ctx.sources.neg.unwrap_or(ctx.sources.full);
-            let present = neg_instance
-                .relation(*pred)
-                .is_some_and(|r| r.contains(&tuple));
+            let present = neg_instance.contains_fact(*pred, &row);
+            worker.key = row;
             if present {
                 ControlFlow::Continue(())
             } else {

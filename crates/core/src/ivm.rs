@@ -37,20 +37,19 @@
 use std::ops::ControlFlow;
 
 use crate::error::EvalError;
-use crate::exec::{for_each_head, for_each_match_from, IndexCache, Sources};
+use crate::exec::{for_each_match, for_each_match_from, IndexCache, Sources};
 use crate::ir::Plan;
 use crate::options::EvalOptions;
 use crate::planner::{Catalog, PlanMode, Planner};
 use crate::require_language;
 use crate::seminaive::seminaive_fixpoint;
-use crate::subst::{active_domain, Env};
+use crate::subst::{active_domain, instantiate_into, needs_active_domain, Env};
 use unchained_common::{
     DeltaHandle, FxHashMap, FxHashSet, HeapSize, Instance, JoinCounters, Relation, Schema, Symbol,
     Tuple, Value,
 };
 use unchained_parser::{
     check_range_restricted, Atom, DependencyGraph, HeadLiteral, Language, Literal, Program, Rule,
-    Var,
 };
 
 /// One queued EDB edit.
@@ -182,12 +181,10 @@ impl IncrementalSession {
             let st = &mut strata[stratification.stratum(head)];
             st.rules.push(ri);
             st.heads.insert(head);
-            let mut pos_vars: FxHashSet<Var> = FxHashSet::default();
             for lit in &rule.body {
                 match lit {
                     Literal::Pos(a) => {
                         st.pos.insert(a.pred);
-                        pos_vars.extend(a.vars());
                     }
                     Literal::Neg(a) => {
                         st.neg.insert(a.pred);
@@ -195,11 +192,7 @@ impl IncrementalSession {
                     _ => {}
                 }
             }
-            st.adom_dependent |= rule
-                .head_vars()
-                .into_iter()
-                .chain(rule.body_vars())
-                .any(|v| !pos_vars.contains(&v));
+            st.adom_dependent |= needs_active_domain([rule]);
         }
 
         let adom = if strata.iter().any(|st| st.adom_dependent) {
@@ -382,7 +375,7 @@ impl IncrementalSession {
         //    overdeleted tuples and counted candidates — and seeds the
         //    strata above. `None`: the stratum reads nothing swept.
         let mut swept = removed.clone();
-        let mut candidates: Vec<Option<Vec<(Symbol, Tuple)>>> = Vec::new();
+        let mut candidates: Vec<Option<Instance>> = Vec::new();
         for st in &self.strata {
             if !st.pos.iter().any(|&p| touched(&swept, p)) {
                 candidates.push(None);
@@ -417,21 +410,21 @@ impl IncrementalSession {
         // 2. Apply the EDB net change and withdraw the overdeleted tuples.
         //    Counted candidates stay until their recount.
         for (pred, rel) in removed.iter() {
-            for t in rel.iter() {
-                self.edb.retract_fact(pred, t);
-                self.instance.retract_fact(pred, t);
+            for row in rel.iter_stored() {
+                self.edb.retract_fact(pred, row);
+                self.instance.retract_fact(pred, row);
             }
         }
         for (pred, rel) in added.iter() {
-            for t in rel.iter() {
-                self.edb.insert_fact(pred, t.clone());
-                self.instance.insert_fact(pred, t.clone());
+            for row in rel.iter_stored() {
+                self.edb.insert_row(pred, row);
+                self.instance.insert_row(pred, row);
             }
         }
         for (st, found) in self.strata.iter().zip(&candidates) {
             if !st.counted() {
-                for (pred, t) in found.iter().flatten() {
-                    self.instance.retract_fact(*pred, t);
+                for (pred, row) in found.iter().flat_map(facts) {
+                    self.instance.retract_fact(pred, row);
                 }
             }
         }
@@ -479,19 +472,19 @@ impl IncrementalSession {
                 for (p, kept) in old {
                     let new = self.instance.relation(p).expect("heads exist");
                     let withdrawn = swept.relation(p);
-                    let was_swept = |t: &Tuple| withdrawn.is_some_and(|w| w.contains(t));
-                    for t in new.iter() {
-                        if !kept.contains(t) && !was_swept(t) {
-                            added.insert_fact(p, t.clone());
+                    let was_swept = |row: &[Value]| withdrawn.is_some_and(|w| w.contains(row));
+                    for row in new.iter_stored() {
+                        if !kept.contains(row) && !was_swept(row) {
+                            added.insert_row(p, row);
                         }
                     }
-                    for t in kept
-                        .iter()
-                        .chain(withdrawn.into_iter().flat_map(Relation::iter))
+                    for row in kept
+                        .iter_stored()
+                        .chain(withdrawn.into_iter().flat_map(Relation::iter_stored))
                     {
-                        if !new.contains(t) {
-                            removed.insert_fact(p, t.clone());
-                            if !was_swept(t) {
+                        if !new.contains(row) {
+                            removed.insert_row(p, row);
+                            if !was_swept(row) {
                                 unswept.insert(p);
                             }
                         }
@@ -501,15 +494,15 @@ impl IncrementalSession {
                 continue;
             }
             let ins_hit = st.pos.iter().any(|&p| touched(&added, p));
-            let Some(found) = found.or_else(|| ins_hit.then(Vec::new)) else {
+            let Some(found) = found.or_else(|| ins_hit.then(Instance::new)) else {
                 stats.strata_skipped += 1;
                 continue;
             };
             if st.counted() {
-                for (pred, tuple) in &found {
+                for (pred, row) in facts(&found) {
                     let count = count_support(
-                        *pred,
-                        tuple,
+                        pred,
+                        row,
                         &self.program,
                         &self.support_plans,
                         &self.instance,
@@ -518,10 +511,10 @@ impl IncrementalSession {
                         &mut stats,
                         false,
                     );
-                    let counts = self.supports.entry(*pred).or_default();
-                    counts.insert(tuple.clone(), count as i64);
+                    let counts = self.supports.entry(pred).or_default();
+                    counts.insert(Tuple::new(row), count as i64);
                     if count == 0 {
-                        self.instance.retract_fact(*pred, tuple);
+                        self.instance.retract_fact(pred, row);
                     }
                 }
             } else {
@@ -545,14 +538,14 @@ impl IncrementalSession {
                 &self.options,
                 &mut stats,
             )?;
-            for (pred, tuple) in found {
-                if !self.instance.contains_fact(pred, &tuple) {
-                    removed.insert_fact(pred, tuple);
+            for (pred, row) in facts(&found) {
+                if !self.instance.contains_fact(pred, row) {
+                    removed.insert_row(pred, row);
                 }
             }
-            for (pred, tuple) in new {
-                if !swept.contains_fact(pred, &tuple) {
-                    added.insert_fact(pred, tuple);
+            for (pred, row) in facts(&new) {
+                if !swept.contains_fact(pred, row) {
+                    added.insert_row(pred, row);
                 }
             }
         }
@@ -600,9 +593,16 @@ fn rules_of<'p>(program: &'p Program, stratum: &Stratum) -> Vec<&'p Rule> {
     stratum.rules.iter().map(|&ri| &program.rules[ri]).collect()
 }
 
+/// Every fact of `instance` as a borrowed row, relation by relation.
+fn facts(instance: &Instance) -> impl Iterator<Item = (Symbol, &[Value])> {
+    instance
+        .iter()
+        .flat_map(|(pred, rel)| rel.iter_stored().map(move |row| (pred, row)))
+}
+
 /// Seeds a valuation environment from a concrete head tuple: `None` if
 /// the tuple contradicts a head constant or a repeated head variable.
-fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
+fn seed_env(head: &Atom, tuple: &[Value], var_count: usize) -> Option<Env> {
     let mut env: Env = vec![None; var_count];
     for (i, term) in head.args.iter().enumerate() {
         match term {
@@ -630,7 +630,7 @@ fn seed_env(head: &Atom, tuple: &Tuple, var_count: usize) -> Option<Env> {
 #[allow(clippy::too_many_arguments)]
 fn count_support(
     pred: Symbol,
-    tuple: &Tuple,
+    tuple: &[Value],
     program: &Program,
     support_plans: &FxHashMap<Symbol, Vec<(usize, Plan)>>,
     instance: &Instance,
@@ -671,8 +671,8 @@ fn count_support(
 /// One semi-naive round over a change set: runs every Δ-variant of
 /// `rules` whose Δ literal reads a predicate present in `change`, with
 /// the Δ literal reading `change` since `mark` and every other literal
-/// reading `full`, and calls `on_head` once per match. Returns the
-/// number of matches.
+/// reading `full`, and calls `on_head` with each match's head row.
+/// Returns the number of matches.
 #[allow(clippy::too_many_arguments)]
 fn delta_round(
     rules: &[&Rule],
@@ -682,7 +682,7 @@ fn delta_round(
     mark: &DeltaHandle,
     adom: &[Value],
     cache: &mut IndexCache,
-    on_head: &mut dyn FnMut(Symbol, Tuple),
+    on_head: &mut dyn FnMut(Symbol, &[Value]),
 ) -> u64 {
     cache.begin_delta_round();
     let changed: FxHashSet<Symbol> = change
@@ -697,11 +697,15 @@ fn delta_round(
         delta_from: Some(change),
     };
     let mut fired = 0;
+    let mut row = Vec::new();
     for rule in rules {
         let head = head_atom(rule);
         for plan in planner.seminaive_variants(rule, &|p| changed.contains(&p)) {
-            fired += for_each_head(&plan, &head.args, sources, adom, cache, &mut |t| {
-                on_head(head.pred, t);
+            let _ = for_each_match(&plan, sources, adom, cache, &mut |env| {
+                fired += 1;
+                instantiate_into(&head.args, env, &mut row);
+                on_head(head.pred, &row);
+                ControlFlow::Continue(())
             });
         }
     }
@@ -711,7 +715,7 @@ fn delta_round(
 /// The DRed overdelete closure for one stratum, against the pre-update
 /// fixpoint `instance`: Δ-variant plans driven over `swept`, whose head
 /// tuples join `swept` until nothing new is reachable. Returns the
-/// stratum's overdeleted tuples, in discovery order.
+/// stratum's overdeleted tuples, in discovery order per relation.
 #[allow(clippy::too_many_arguments)]
 fn overdelete(
     rules: &[&Rule],
@@ -722,11 +726,11 @@ fn overdelete(
     plan_mode: PlanMode,
     max_stages: Option<usize>,
     stats: &mut PollStats,
-) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
+) -> Result<Instance, EvalError> {
     // The default handle marks all of `swept` as new; captured marks
     // restrict later rounds to the previous round's additions.
     let mut mark = DeltaHandle::default();
-    let mut overdeleted: Vec<(Symbol, Tuple)> = Vec::new();
+    let mut overdeleted = Instance::new();
     let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
     let mut rounds = 0usize;
     loop {
@@ -734,7 +738,7 @@ fn overdelete(
         if max_stages.is_some_and(|m| rounds > m) {
             return Err(EvalError::StageLimitExceeded(rounds - 1));
         }
-        let mut found: Vec<(Symbol, Tuple)> = Vec::new();
+        let mut found = Instance::new();
         stats.rules_fired += delta_round(
             rules,
             &mut planner,
@@ -743,17 +747,19 @@ fn overdelete(
             &mark,
             adom,
             cache,
-            &mut |pred, tuple| found.push((pred, tuple)),
+            &mut |pred, row| {
+                found.insert_row(pred, row);
+            },
         );
         mark = DeltaHandle::capture(swept);
-        let before = overdeleted.len();
-        for (pred, tuple) in found {
-            if swept.insert_fact(pred, tuple.clone()) {
-                overdeleted.push((pred, tuple));
+        let before = overdeleted.fact_count();
+        for (pred, row) in facts(&found) {
+            if swept.insert_row(pred, row) {
+                overdeleted.insert_row(pred, row);
             }
         }
-        if overdeleted.len() == before {
-            stats.overdeleted += overdeleted.len() as u64;
+        if overdeleted.fact_count() == before {
+            stats.overdeleted += before as u64;
             return Ok(overdeleted);
         }
     }
@@ -775,7 +781,7 @@ fn counted_sweep(
     cache: &mut IndexCache,
     plan_mode: PlanMode,
     stats: &mut PollStats,
-) -> Vec<(Symbol, Tuple)> {
+) -> Instance {
     let mut planner = Planner::new(Catalog::from_instance(instance), plan_mode);
     let mut affected = Instance::new();
     stats.rules_fired += delta_round(
@@ -786,30 +792,28 @@ fn counted_sweep(
         &DeltaHandle::default(),
         adom,
         cache,
-        &mut |pred, tuple| {
+        &mut |pred, row| {
             // Every Δ-match witnesses a (possibly repeated) lost
             // derivation: decrementing once per match can only push the
             // stored count *below* the truth, which is the safe
             // direction.
-            if let Some(c) = supports.get_mut(&pred).and_then(|m| m.get_mut(&tuple)) {
+            if let Some(c) = supports.get_mut(&pred).and_then(|m| m.get_mut(row)) {
                 *c -= 1;
             }
-            affected.insert_fact(pred, tuple);
+            affected.insert_row(pred, row);
         },
     );
-    let mut candidates = Vec::new();
-    for (pred, rel) in affected.iter() {
-        for tuple in rel.iter() {
-            if supports
-                .get(&pred)
-                .and_then(|m| m.get(tuple))
-                .is_some_and(|&c| c > 0)
-            {
-                stats.support_hits += 1;
-            } else {
-                swept.insert_fact(pred, tuple.clone());
-                candidates.push((pred, tuple.clone()));
-            }
+    let mut candidates = Instance::new();
+    for (pred, row) in facts(&affected) {
+        if supports
+            .get(&pred)
+            .and_then(|m| m.get(row))
+            .is_some_and(|&c| c > 0)
+        {
+            stats.support_hits += 1;
+        } else {
+            swept.insert_row(pred, row);
+            candidates.insert_row(pred, row);
         }
     }
     candidates
@@ -821,7 +825,7 @@ fn counted_sweep(
 /// candidate.
 #[allow(clippy::too_many_arguments)]
 fn rederive(
-    candidates: &[(Symbol, Tuple)],
+    candidates: &Instance,
     program: &Program,
     support_plans: &FxHashMap<Symbol, Vec<(usize, Plan)>>,
     instance: &mut Instance,
@@ -831,13 +835,13 @@ fn rederive(
 ) {
     loop {
         let mut changed = false;
-        for (pred, tuple) in candidates {
-            if instance.contains_fact(*pred, tuple) {
+        for (pred, row) in facts(candidates) {
+            if instance.contains_fact(pred, row) {
                 continue;
             }
             let supported = count_support(
-                *pred,
-                tuple,
+                pred,
+                row,
                 program,
                 support_plans,
                 instance,
@@ -847,7 +851,7 @@ fn rederive(
                 true,
             ) > 0;
             if supported {
-                instance.insert_fact(*pred, tuple.clone());
+                instance.insert_row(pred, row);
                 stats.rederived += 1;
                 changed = true;
             }
@@ -860,7 +864,8 @@ fn rederive(
 
 /// Semi-naive insertion propagation for one stratum: Δ-variant plans
 /// over a scratch insert set seeded with `seed`, full scans against the
-/// live (growing) instance. Returns the tuples it added, in order.
+/// live (growing) instance. Returns the tuples it added, in order per
+/// relation.
 /// Stored support counts of re-derived tuples are invalidated rather
 /// than incremented — a Δ-match with `k` new body tuples is enumerated
 /// `k` times, so incrementing could overshoot the truth.
@@ -874,18 +879,18 @@ fn insert_closure(
     cache: &mut IndexCache,
     options: &EvalOptions,
     stats: &mut PollStats,
-) -> Result<Vec<(Symbol, Tuple)>, EvalError> {
+) -> Result<Instance, EvalError> {
     let mut dins = seed.clone();
     let mut mark = DeltaHandle::default();
     let mut planner = Planner::new(Catalog::from_instance(instance), options.plan_mode);
-    let mut new: Vec<(Symbol, Tuple)> = Vec::new();
+    let mut new = Instance::new();
     let mut rounds = 0usize;
     loop {
         rounds += 1;
         if options.max_stages.is_some_and(|m| rounds > m) {
             return Err(EvalError::StageLimitExceeded(rounds - 1));
         }
-        let mut found: Vec<(Symbol, Tuple)> = Vec::new();
+        let mut found = Instance::new();
         stats.rules_fired += delta_round(
             rules,
             &mut planner,
@@ -894,9 +899,9 @@ fn insert_closure(
             &mark,
             adom,
             cache,
-            &mut |pred, tuple| {
-                if !instance.contains_fact(pred, &tuple) {
-                    found.push((pred, tuple));
+            &mut |pred, row| {
+                if !instance.contains_fact(pred, row) {
+                    found.insert_row(pred, row);
                 }
             },
         );
@@ -904,13 +909,13 @@ fn insert_closure(
             return Ok(new);
         }
         mark = DeltaHandle::capture(&dins);
-        for (pred, tuple) in found {
-            if instance.insert_fact(pred, tuple.clone()) {
+        for (pred, row) in facts(&found) {
+            if instance.insert_row(pred, row) {
                 if let Some(m) = supports.get_mut(&pred) {
-                    m.remove(&tuple);
+                    m.remove(row);
                 }
-                dins.insert_fact(pred, tuple.clone());
-                new.push((pred, tuple));
+                dins.insert_row(pred, row);
+                new.insert_row(pred, row);
             }
         }
         if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
@@ -1189,11 +1194,18 @@ mod tests {
             s.retract(g, edge(3, 4)).unwrap();
             let stats = s.poll().unwrap();
             assert_matches_scratch(&s, &i);
-            stats.joins
+            // Re-inserting a retracted edge appends a fresh copy: the
+            // indexes absorb it instead of rebuilding over all of G.
+            s.insert(g, edge(0, 1)).unwrap();
+            let reinsert = s.poll().unwrap();
+            assert_matches_scratch(&s, &i);
+            (stats.joins, reinsert.joins)
         };
-        let (small, large) = (second_poll(100), second_poll(1000));
+        let ((small, small_re), (large, large_re)) = (second_poll(100), second_poll(1000));
         assert_eq!(small.indexed_tuples, large.indexed_tuples);
         assert_eq!(small.probes, large.probes);
+        assert_eq!(small_re.indexed_tuples, large_re.indexed_tuples);
+        assert_eq!(small_re.probes, large_re.probes);
     }
 
     #[test]

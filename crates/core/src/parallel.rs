@@ -30,14 +30,17 @@
 //! the union of per-morsel match sets, the per-rule fired sums and the
 //! probe counts are the same for every worker count, and so is the
 //! index work, done once per round per index whichever worker triggers
-//! it. Per-worker buffers are merged in worker order into a set, so the
-//! resulting round delta — and therefore every subsequent round, the
-//! final instance, and its display — is byte-identical for any thread
-//! count and any morsel size.
+//! it. Derived rows are packed straight into per-morsel buffers (no
+//! per-fact allocation) and merged in morsel order, each kept at its
+//! first occurrence, so the round delta — rows *and* their storage
+//! order — and therefore every subsequent round, the final instance,
+//! and its display are byte-identical for any thread count. A single
+//! worker runs the morsels in that order anyway, so it fills one
+//! buffer.
 
 use crate::exec::{driver_len, execute, Ctx, IndexCache, Morsel, Sources, Worker};
 use crate::ir::Plan;
-use crate::subst::instantiate;
+use crate::subst::instantiate_into;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -65,10 +68,9 @@ pub(crate) struct RoundStats {
     /// the morsel partition of each driver enumeration is fixed before
     /// the workers start, and fired counts sum over the partition.
     pub fired_per_rule: Vec<u64>,
-    /// Per-rule `(start_offset_nanos, dur_nanos)` relative to round
-    /// entry, measured when one worker runs the round (its morsels run
-    /// rule by rule). Empty with several workers, whose rule work
-    /// interleaves across lanes, or when `timed` was false.
+    /// Per-rule `(start_offset_nanos, dur_nanos)`: when the rule's first
+    /// morsel started, relative to round entry, and the time its morsels
+    /// took, summed over all workers. Empty when `timed` was false.
     pub rules: Vec<(u64, u64)>,
     /// Per-worker `(start_offset_nanos, dur_nanos)` relative to round
     /// entry — the worker-lane timeline of a round run by several
@@ -105,20 +107,28 @@ fn build_morsels(
     morsels
 }
 
-/// What one worker hands back: derived tuples, its join counters,
-/// fired counts per rule, per-rule times and its own lane.
-type WorkerResult = (Instance, Worker, Vec<u64>, Vec<(u64, u64)>, (u64, u64));
+/// What one worker hands back: the rows its morsels derived (one
+/// buffer per morsel, tagged with the morsel's position in the work
+/// list), its join counters, fired counts per rule, per-rule times and
+/// its own lane.
+type WorkerResult = (
+    Vec<(usize, Instance)>,
+    Worker,
+    Vec<u64>,
+    Vec<Option<(u64, u64)>>,
+    (u64, u64),
+);
 
 /// Runs one round's `tasks` against `sources` on `workers` workers and
-/// merges their derived-tuple buffers in worker order. The round's work
-/// is cut into driver-row morsels of at most `morsel_size` rows (see the
-/// module docs) which workers pull from a shared queue; `cache` is
-/// prepared for the round's plans before they start, and their join
-/// counters are added to `cache.counters` after they finish. `rules`
-/// bounds the rule indexes in `tasks`; `timed` additionally records
-/// per-rule or per-worker wall offsets (for rule and worker-lane spans).
-/// Returns the merged pending instance (deduplicated against
-/// `sources.full` by the workers) and the round's attribution stats.
+/// merges their derived rows in morsel order. The round's work is cut
+/// into driver-row morsels of at most `morsel_size` rows (see the module
+/// docs) which workers pull from a shared queue; `cache` is prepared for
+/// the round's plans before they start, and their join counters are
+/// added to `cache.counters` after they finish. `rules` bounds the rule
+/// indexes in `tasks`; `timed` additionally records per-rule and
+/// per-worker wall offsets (for rule and worker-lane spans). Returns the
+/// merged pending instance (deduplicated against `sources.full`) and the
+/// round's attribution stats.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_round(
     tasks: &[PlanTask<'_>],
@@ -153,30 +163,38 @@ pub(crate) fn run_round(
         let mut worker = Worker::default();
         let mut fired_per_rule = vec![0u64; rules];
         let mut rule_times: Vec<Option<(u64, u64)>> = vec![None; rules];
-        let mut pending = Instance::new();
-        while let Some(&(t, morsel)) = morsels.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+        let mut outputs: Vec<(usize, Instance)> = Vec::new();
+        let mut out = Instance::new();
+        let mut row: Vec<Value> = Vec::new();
+        loop {
+            let m = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(t, morsel)) = morsels.get(m) else {
+                break;
+            };
             let task = &tasks[t];
             let morsel_start = offset();
             let mut env = vec![None; task.plan.var_count];
             let _ = execute(task.plan, ctx, &mut worker, morsel, &mut env, &mut |env| {
                 fired_per_rule[task.rule] += 1;
-                let tuple = instantiate(&task.head.args, env);
-                if !sources.full.contains_fact(task.head.pred, &tuple)
-                    && !pending.contains_fact(task.head.pred, &tuple)
-                {
-                    pending.insert_fact(task.head.pred, tuple);
+                instantiate_into(&task.head.args, env, &mut row);
+                if !sources.full.contains_fact(task.head.pred, &row) {
+                    out.insert_row(task.head.pred, &row);
                 }
                 ControlFlow::Continue(())
             });
             let (_, dur) = rule_times[task.rule].get_or_insert((morsel_start, 0));
             *dur += offset().saturating_sub(morsel_start);
+            // Several workers pull morsels in a schedule-dependent order:
+            // keep each morsel's rows apart for the ordered merge.
+            if workers > 1 && !out.is_empty() {
+                outputs.push((m, std::mem::take(&mut out)));
+            }
         }
-        let rule_times = rule_times
-            .into_iter()
-            .map(|t| t.unwrap_or_default())
-            .collect();
+        if !out.is_empty() {
+            outputs.push((0, out));
+        }
         let lane = (started, offset().saturating_sub(started));
-        (pending, worker, fired_per_rule, rule_times, lane)
+        (outputs, worker, fired_per_rule, rule_times, lane)
     };
     let results: Vec<WorkerResult> = if workers <= 1 {
         vec![work()]
@@ -190,36 +208,48 @@ pub(crate) fn run_round(
         })
     };
 
-    let several = results.len() > 1;
     let mut stats = RoundStats {
         fired_total: 0,
         fired_per_rule: vec![0u64; rules],
         rules: Vec::new(),
         workers: Vec::new(),
     };
-    let mut merged = Instance::new();
-    // Reuse the first worker's buffer as the merge target: with one
-    // worker this is the whole pending set, and with more the remaining
-    // (typically small) buffers fold into it in order.
-    for (w, (pending, worker, fired_per_rule, rule_times, lane)) in results.into_iter().enumerate()
-    {
+    let mut rule_times: Vec<Option<(u64, u64)>> = vec![None; rules];
+    let mut outputs: Vec<(usize, Instance)> = Vec::new();
+    for (worker_outputs, worker, fired_per_rule, times, lane) in results {
         cache.counters.absorb(&worker.counters);
         for (rule, f) in fired_per_rule.into_iter().enumerate() {
             stats.fired_per_rule[rule] += f;
             stats.fired_total += f;
         }
-        if timed && several {
-            stats.workers.push(lane);
-        } else if timed {
-            stats.rules = rule_times;
+        for (sum, (start, dur)) in rule_times
+            .iter_mut()
+            .zip(times)
+            .filter_map(|(s, t)| Some((s, t?)))
+        {
+            let (first, total) = sum.get_or_insert((start, 0));
+            *first = (*first).min(start);
+            *total += dur;
         }
-        if w == 0 {
-            merged = pending;
-        } else {
-            for (pred, rel) in pending.iter() {
-                for t in rel.iter() {
-                    merged.insert_fact(pred, t.clone());
-                }
+        if timed && workers > 1 {
+            stats.workers.push(lane);
+        }
+        outputs.extend(worker_outputs);
+    }
+    if timed {
+        stats.rules = rule_times
+            .into_iter()
+            .map(Option::unwrap_or_default)
+            .collect();
+    }
+    // Merge in morsel order; the first buffer becomes the merge target.
+    outputs.sort_unstable_by_key(|&(m, _)| m);
+    let mut outputs = outputs.into_iter().map(|(_, out)| out);
+    let mut merged = outputs.next().unwrap_or_default();
+    for out in outputs {
+        for (pred, rel) in out.iter() {
+            for row in rel.iter_stored() {
+                merged.insert_row(pred, row);
             }
         }
     }
@@ -327,7 +357,12 @@ mod tests {
         // Seed T with round 1's output and capture the delta mark by hand.
         let mark = DeltaHandle::capture(&inst);
         let g = i.get("G").unwrap();
-        let edges: Vec<Tuple> = inst.relation(g).unwrap().iter().cloned().collect();
+        let edges: Vec<Tuple> = inst
+            .relation(g)
+            .unwrap()
+            .iter()
+            .map(|t| t.to_tuple())
+            .collect();
         for e in edges {
             inst.insert_fact(t, e);
         }

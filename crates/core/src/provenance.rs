@@ -244,7 +244,7 @@ mod tests {
         assert_eq!(rel.len(), 10);
         for tuple in rel.iter() {
             let d = prov
-                .derivation(t, tuple)
+                .derivation(t, &tuple.to_tuple())
                 .expect("derived fact has provenance");
             for (p, prem) in &d.premises {
                 assert!(prov.instance.contains_fact(*p, prem));

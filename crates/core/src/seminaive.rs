@@ -19,7 +19,7 @@ use crate::options::{EvalOptions, FixpointRun};
 use crate::parallel::{run_round, PlanTask, RoundStats};
 use crate::planner::{Catalog, Planner};
 use crate::require_language;
-use crate::subst::active_domain;
+use crate::subst::{active_domain, needs_active_domain};
 use unchained_common::{
     DeltaHandle, FxHashSet, HeapSize, Instance, JoinCounters, Span, SpanKind, StageRecord, Symbol,
     Tracer,
@@ -27,10 +27,10 @@ use unchained_common::{
 use unchained_parser::{check_range_restricted, Atom, HeadLiteral, Language, Program, Rule};
 
 /// Attaches one round's attribution leaves to the currently open round
-/// span: per-rule spans (deterministic `fired` gauges, timed when one
-/// worker ran the round), per-worker lane spans (rounds run by several
-/// workers), and a join-counter summary. Offsets in `stats` are relative
-/// to `round_base`.
+/// span: per-rule spans (deterministic `fired` gauges, and the time the
+/// rule's morsels took, summed over workers), per-worker lane spans
+/// (rounds run by several workers), and a join-counter summary. Offsets
+/// in `stats` are relative to `round_base`.
 fn emit_round_leaves(
     tracer: &Tracer,
     head_preds: &[Symbol],
@@ -198,8 +198,8 @@ pub(crate) fn seminaive_fixpoint(
         let absorb_start = tracer.now_nanos();
         let mut changed = false;
         for (pred, rel) in pending.iter() {
-            for t in rel.iter() {
-                changed |= instance.insert_fact(pred, t.clone());
+            for row in rel.iter_stored() {
+                changed |= instance.insert_row(pred, row);
             }
         }
         let joins = cache.counters.since(&joins_before);
@@ -269,7 +269,11 @@ pub fn minimum_model(
     require_language(program, Language::Datalog)?;
     check_range_restricted(program, false)?;
 
-    let adom = active_domain(program, input);
+    let adom = if needs_active_domain(&program.rules) {
+        active_domain(program, input)
+    } else {
+        Vec::new()
+    };
     let mut instance = input.clone();
     let schema = program.schema()?;
     for pred in program.idb() {

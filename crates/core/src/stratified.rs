@@ -11,7 +11,7 @@ use crate::exec::IndexCache;
 use crate::options::{EvalOptions, FixpointRun};
 use crate::require_language;
 use crate::seminaive::seminaive_fixpoint;
-use crate::subst::active_domain;
+use crate::subst::{active_domain, needs_active_domain};
 use unchained_common::{FxHashSet, HeapSize, Instance, SpanKind, Symbol};
 use unchained_parser::{check_range_restricted, DependencyGraph, HeadLiteral, Language, Program};
 
@@ -34,7 +34,11 @@ pub fn eval(
     check_range_restricted(program, false)?;
     let stratification = DependencyGraph::build(program).stratify()?;
 
-    let adom = active_domain(program, input);
+    let adom = if needs_active_domain(&program.rules) {
+        active_domain(program, input)
+    } else {
+        Vec::new()
+    };
     let mut instance = input.clone();
     let schema = program.schema()?;
     for pred in program.idb() {
@@ -134,7 +138,7 @@ mod tests {
         // |T| + |CT| = |adom|² and they are disjoint.
         assert_eq!(t_rel.len() + ct_rel.len(), 16);
         for tup in t_rel.iter() {
-            assert!(!ct_rel.contains(tup));
+            assert!(!ct_rel.contains(&tup));
         }
         // (0,1) reachable, so in T not CT; (1,0) unreachable.
         assert!(ct_rel.contains(&Tuple::from([Value::Int(1), Value::Int(0)])));
@@ -202,6 +206,41 @@ mod tests {
         let run = eval(&p, &input, EvalOptions::default()).unwrap();
         let ng = i.get("NG").unwrap();
         assert_eq!(run.instance.relation(ng).unwrap().len(), 8);
+    }
+
+    /// `y` occurs only under negation, so the domain is built for it:
+    /// the answer equals a naive run that reads the complement of `G`
+    /// over the active domain as an input relation.
+    #[test]
+    fn negation_only_variable_agrees_with_naive() {
+        let mut i = Interner::new();
+        let p = parse_program("Q(x) :- V(x), !G(x,y).", &mut i).unwrap();
+        assert!(crate::subst::needs_active_domain(&p.rules));
+        let (v, g, ng) = (i.intern("V"), i.intern("G"), i.intern("NG"));
+        let mut input = line(&mut i, 4);
+        for k in 0..3 {
+            input.insert_fact(v, Tuple::from([Value::Int(k)]));
+        }
+        // 0 → 1 and 1 → 2 only: every vertex misses some edge.
+        input.retract_fact(g, &Tuple::from([Value::Int(2), Value::Int(3)]));
+        let run = eval(&p, &input, EvalOptions::default()).unwrap();
+
+        let positive = parse_program("Q(x) :- V(x), NG(x,y).", &mut i).unwrap();
+        let adom = active_domain(&p, &input);
+        let mut complement = input.clone();
+        for &x in &adom {
+            for &y in &adom {
+                if !input.contains_fact(g, &[x, y]) {
+                    complement.insert_fact(ng, Tuple::from([x, y]));
+                }
+            }
+        }
+        let expected =
+            crate::naive::minimum_model(&positive, &complement, EvalOptions::default()).unwrap();
+        let q = i.get("Q").unwrap();
+        let got = run.instance.relation(q).unwrap();
+        assert!(got.same_tuples(expected.instance.relation(q).unwrap()));
+        assert_eq!(got.len(), 3);
     }
 
     #[test]

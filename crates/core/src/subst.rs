@@ -6,8 +6,8 @@
 //! drift) across `eval.rs`, `naive.rs`, and `inflationary.rs`; they now
 //! live here once.
 
-use unchained_common::{FxHashMap, Instance, Symbol, Tuple, Value};
-use unchained_parser::Term;
+use unchained_common::{FxHashMap, FxHashSet, Instance, Symbol, Tuple, Value};
+use unchained_parser::{Literal, Rule, Term, Var};
 
 /// A valuation environment: one slot per rule variable.
 pub type Env = Vec<Option<Value>>;
@@ -28,6 +28,35 @@ pub fn term_value(term: &Term, env: &Env) -> Value {
 /// Instantiates `args` under a complete environment.
 pub fn instantiate(args: &[Term], env: &Env) -> Tuple {
     args.iter().map(|t| term_value(t, env)).collect()
+}
+
+/// Instantiates `args` into the reused buffer `row`, replacing its
+/// contents: the allocation-free form of [`instantiate`].
+pub fn instantiate_into(args: &[Term], env: &Env, row: &mut Vec<Value>) {
+    row.clear();
+    row.extend(args.iter().map(|t| term_value(t, env)));
+}
+
+/// True iff some rule has a variable that no positive body atom binds.
+/// Only such a rule can compile to a plan with a `Domain` step, the one
+/// step that reads the active domain, so engines build
+/// [`active_domain`] only when this holds.
+pub fn needs_active_domain<'r>(rules: impl IntoIterator<Item = &'r Rule>) -> bool {
+    rules.into_iter().any(|rule| {
+        let positive: FxHashSet<Var> = rule
+            .body
+            .iter()
+            .filter_map(|lit| match lit {
+                Literal::Pos(atom) => Some(atom.vars()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        rule.head_vars()
+            .into_iter()
+            .chain(rule.body_vars())
+            .any(|v| !positive.contains(&v))
+    })
 }
 
 /// Computes the sorted active domain `adom(P, I)`: constants of the
@@ -117,6 +146,24 @@ mod tests {
         instance.insert_fact(q, Tuple::from([Value::Int(1)]));
         let adom = active_domain(&program, &instance);
         assert_eq!(adom, vec![Value::Int(1), Value::Int(9)]);
+    }
+
+    #[test]
+    fn domain_is_needed_only_for_variables_outside_positive_atoms() {
+        let mut i = Interner::new();
+        let needs = |src: &str, i: &mut Interner| {
+            needs_active_domain(&parse_program(src, i).unwrap().rules)
+        };
+        assert!(!needs(
+            "T(x,y) :- G(x,y). T(x,y) :- G(x,z), T(z,y).",
+            &mut i
+        ));
+        assert!(!needs("P(x) :- Q(x), x != 9, !R(x).", &mut i));
+        // Only under an inequality, only under negation, only in an
+        // equality with another unbound variable.
+        assert!(needs("P(x) :- Q(x), x != z.", &mut i));
+        assert!(needs("P(x) :- Q(x), !R(x,y).", &mut i));
+        assert!(needs("P(x) :- Q(x), y = z.", &mut i));
     }
 
     #[test]

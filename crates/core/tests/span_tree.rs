@@ -60,10 +60,33 @@ fn gauge_tree_is_byte_identical_across_thread_counts() {
     // …including the deterministic planner-effect gauges…
     assert!(seq_tree.contains("plan_joins_pruned"), "{seq_tree}");
     assert!(seq_tree.contains("subplans_shared"), "{seq_tree}");
-    // …but no schedule-dependent worker lanes or join-counter leaves
-    // (probe counts depend on the per-worker index chunking).
+    // …but no worker lanes, whose timing depends on the schedule, and
+    // no join-counter leaves, a kind the projection leaves out. Their
+    // probe counts agree anyway: all workers share one index cache.
     assert!(!seq_tree.contains("worker"), "{seq_tree}");
     assert!(!seq_tree.contains("probes"), "{seq_tree}");
+    assert_eq!(
+        sum_gauge(&seq, SpanKind::Join, "probes"),
+        sum_gauge(&par, SpanKind::Join, "probes")
+    );
+}
+
+#[test]
+fn parallel_rule_spans_carry_their_time() {
+    let (roots, _) = traced_tc(32, 2);
+    let mut all = Vec::new();
+    walk(&roots, &mut all);
+    let fired: Vec<&Span> = all
+        .iter()
+        .copied()
+        .filter(|s| s.kind == SpanKind::Rule && s.gauge("fired").unwrap_or(0) > 0)
+        .collect();
+    assert!(!fired.is_empty());
+    // Each rule that fired reports the time its morsels took, summed
+    // over both workers.
+    for span in fired {
+        assert!(span.dur_nanos > 0, "{} has no time at threads=2", span.name);
+    }
 }
 
 #[test]

@@ -123,7 +123,7 @@ impl fmt::Display for AlgebraError {
 
 impl std::error::Error for AlgebraError {}
 
-fn operand_value(op: Operand, tuple: &Tuple) -> Value {
+fn operand_value(op: Operand, tuple: &[Value]) -> Value {
     match op {
         Operand::Col(c) => tuple[c],
         Operand::Const(v) => v,
@@ -160,7 +160,7 @@ pub fn eval(expr: &Expr, instance: &Instance) -> Result<Relation, AlgebraError> 
             }
             let mut out = Relation::new(cols.len());
             for t in input.iter() {
-                out.insert(t.project(cols));
+                out.insert(cols.iter().map(|&c| t[c]).collect());
             }
             Ok(out)
         }
@@ -174,7 +174,7 @@ pub fn eval(expr: &Expr, instance: &Instance) -> Result<Relation, AlgebraError> 
             for t in input.iter() {
                 let ok = conds
                     .iter()
-                    .all(|c| (operand_value(c.left, t) == operand_value(c.right, t)) == c.equal);
+                    .all(|c| (operand_value(c.left, &t) == operand_value(c.right, &t)) == c.equal);
                 if ok {
                     out.insert(t.clone());
                 }

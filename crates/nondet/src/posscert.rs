@@ -67,7 +67,10 @@ pub fn poss_cert(
                     let current = cert.relation(pred).expect("pred listed");
                     Relation::from_tuples(
                         current.arity(),
-                        current.iter().filter(|t| other.contains(t)).cloned(),
+                        current
+                            .iter()
+                            .filter(|t| other.contains(t))
+                            .map(|t| t.to_tuple()),
                     )
                 }
                 None => Relation::new(cert.relation(pred).expect("pred listed").arity()),
