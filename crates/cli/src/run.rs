@@ -1149,11 +1149,16 @@ poll
         // The trace file content travels in the program-text slot.
         let summary = execute(&cmd, &json, None).unwrap();
         assert!(summary.contains("kinds:"), "{summary}");
-        // A missing kind or broken JSON is an error (seminaive emits no
-        // Phase spans).
+        // Seminaive rounds carry an `index` phase leaf; a missing kind or
+        // broken JSON is an error.
         let cmd = parse_args(&["trace-check", "t.json", "--expect", "phase"].map(String::from))
             .unwrap()
             .command;
+        assert!(execute(&cmd, &json, None).is_ok());
+        let cmd =
+            parse_args(&["trace-check", "t.json", "--expect", "nosuchkind"].map(String::from))
+                .unwrap()
+                .command;
         assert!(execute(&cmd, &json, None).is_err());
         let cmd = parse_args(&["trace-check", "t.json"].map(String::from))
             .unwrap()

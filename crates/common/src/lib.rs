@@ -48,7 +48,7 @@ pub use instance::{DeltaHandle, Instance};
 pub use interner::{Interner, Symbol};
 pub use json::{Json, JsonError};
 pub use metrics::{metrics, Registry, TIME_BUCKETS};
-pub use relation::{Generation, Index, Relation};
+pub use relation::{Generation, Index, IndexBuild, Relation};
 pub use rng::Rng;
 pub use schema::{RelationSchema, Schema};
 pub use space::{fmt_bytes, tuple_bytes, HeapSize, SpaceNode, SpaceReport};

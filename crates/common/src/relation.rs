@@ -24,7 +24,9 @@
 //! per-round deltas of semi-naive evaluation, and what [`Index::absorb_from`]
 //! needs to maintain hash indexes incrementally instead of rebuilding
 //! them. [`Index`] is open-addressing over packed rows too: probe and
-//! absorb never allocate a per-tuple box.
+//! absorb never allocate a per-tuple box. A large index splits into
+//! radix partitions by key hash, which [`IndexBuild`] lets several
+//! threads build or absorb at once.
 
 use crate::columnar::ColumnSegment;
 use crate::hash::{hash_one, FxHashSet, FxHasher};
@@ -32,8 +34,8 @@ use crate::space::{tuple_bytes, HeapSize, SpaceNode, TUPLE_HEADER_BYTES, VALUE_B
 use crate::tuple::{Tuple, TupleRef};
 use crate::value::Value;
 use std::hash::Hasher;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Global source of epoch identifiers. Epochs are unique across all
 /// relations in the process, so a generation captured from one relation can
@@ -577,6 +579,16 @@ impl Relation {
         lo: usize,
         hi: usize,
     ) -> impl Iterator<Item = &[Value]> + Clone {
+        self.stored_since_range(gen, lo, hi).map(|(_, row)| row)
+    }
+
+    /// [`Relation::iter_since_range`] with each row's id.
+    fn stored_since_range(
+        &self,
+        gen: Generation,
+        lo: usize,
+        hi: usize,
+    ) -> impl Iterator<Item = (usize, &[Value])> + Clone {
         let (from, end) = (self.delta_start(gen), self.stored_len());
         let a = from.saturating_add(lo).min(end);
         let b = from.saturating_add(hi).clamp(a, end);
@@ -596,7 +608,22 @@ impl Relation {
                 (lo..hi).zip(seg.rows_range(lo - start, hi - start))
             })
             .filter(move |&(id, _)| all_live || self.is_live(id))
-            .map(|(_, row)| row)
+    }
+
+    /// Stored rows `ids`, which must ascend, in one pass over the
+    /// segments.
+    fn rows_at(&self, ids: impl Iterator<Item = usize>) -> impl Iterator<Item = &[Value]> {
+        let frozen = self.frozen_len();
+        let mut s = 0;
+        ids.map(move |id| {
+            if id >= frozen {
+                return self.recent.row(id - frozen);
+            }
+            while self.starts.get(s + 1).is_some_and(|&next| next <= id) {
+                s += 1;
+            }
+            self.segments[s].row(id - self.starts[s])
+        })
     }
 
     /// The tombstoned rows logged since `gen` was captured from this
@@ -604,12 +631,17 @@ impl Relation {
     /// `gen` belongs to another epoch — a conservative superset, since
     /// every logged row is genuinely dead.
     pub fn retracted_since(&self, gen: Generation) -> impl Iterator<Item = &[Value]> {
+        self.retracted_ids_since(gen).iter().map(|&id| self.row(id))
+    }
+
+    /// The ids of the rows [`Relation::retracted_since`] yields.
+    fn retracted_ids_since(&self, gen: Generation) -> &[usize] {
         let from = if gen.epoch == self.epoch {
             gen.retracted.min(self.retracted.len())
         } else {
             0
         };
-        self.retracted[from..].iter().map(|&id| self.row(id))
+        &self.retracted[from..]
     }
 
     /// Exact delta bounds `(first new segment, first new recent index)` for
@@ -751,6 +783,36 @@ impl Eq for Relation {}
 /// End of a posting chain.
 const NONE32: u32 = u32::MAX;
 
+/// Rows an index partition holds at least, on average, before the index
+/// splits further.
+const PART_MIN_ROWS: usize = 1 << 15;
+
+/// An index has at most `2^PART_MAX_BITS` partitions.
+const PART_MAX_BITS: u32 = 4;
+
+/// Radix bits of an index over `rows` rows: as many as leave every
+/// partition [`PART_MIN_ROWS`] rows on average, up to [`PART_MAX_BITS`].
+/// Small indexes keep one partition.
+fn partition_bits(rows: usize) -> u32 {
+    let mut bits = 0;
+    while bits < PART_MAX_BITS && rows >> (bits + 1) >= PART_MIN_ROWS {
+        bits += 1;
+    }
+    bits
+}
+
+/// The partition of key tag `tag` among `2^bits`: its top `bits` bits.
+fn part_of(tag: u32, bits: u32) -> usize {
+    (u64::from(tag) >> (32 - bits)) as usize
+}
+
+/// The tag a partition's bucket table files key tag `tag` under: rotated
+/// past the `bits` that chose the partition, so the bits below them pick
+/// the home slot.
+fn local_tag(tag: u32, bits: u32) -> u32 {
+    tag.rotate_left(bits)
+}
+
 /// The table tag of a key given as a value sequence: the high half of
 /// its hash. Rows and extracted probe keys hash the same values alike.
 fn key_tag<'a>(values: impl Iterator<Item = &'a Value>) -> u32 {
@@ -762,16 +824,27 @@ fn key_tag<'a>(values: impl Iterator<Item = &'a Value>) -> u32 {
     (h.finish() >> 32) as u32
 }
 
+/// The tag of `row`'s key at columns `cols`.
+fn row_tag(cols: &[usize], row: &[Value]) -> u32 {
+    key_tag(cols.iter().map(|&c| &row[c]))
+}
+
 /// A hash index over a relation: tuples grouped by their values at a
 /// fixed set of key columns.
 ///
 /// Built once per (relation generation, key columns) by evaluators and used
 /// to drive index-nested-loop joins: `probe` returns exactly the tuples
-/// whose key columns equal the probe key. When the underlying relation only
-/// grew since the index was built, [`Index::absorb_from`] appends the new
-/// postings instead of rebuilding.
+/// whose key columns equal the probe key, in append order. When the
+/// underlying relation only grew since the index was built,
+/// [`Index::absorb_from`] appends the new postings instead of rebuilding.
 ///
-/// The layout is open-addressing over packed columns:
+/// The buckets are split into `2^bits` **radix partitions** by the top
+/// bits of their key tag; `bits` follows the number of rows indexed (see
+/// [`partition_bits`]), so small indexes keep one partition. A bucket
+/// lives in exactly one partition, so partitions are built and absorbed
+/// independently — by several threads at once through [`IndexBuild`] —
+/// and a one-row absorb touches only the row's own partition. Each
+/// partition is open-addressing over packed columns:
 ///
 /// * `buckets` is the same linear-probe id table a relation uses for
 ///   membership, mapping key tags to bucket ids;
@@ -781,15 +854,25 @@ fn key_tag<'a>(values: impl Iterator<Item = &'a Value>) -> u32 {
 ///   per bucket through a `next` chain that preserves append order.
 ///
 /// Probing and absorbing therefore never allocate a per-tuple box: a
-/// probe hashes the borrowed key slice, walks the chain, and yields
-/// borrowed `&[Value]` rows.
+/// probe hashes the borrowed key slice, picks the partition, walks the
+/// chain, and yields borrowed `&[Value]` rows.
 #[derive(Debug)]
 pub struct Index {
     key_columns: Vec<usize>,
     arity: usize,
-    /// Bucket ids by key tag.
+    /// log2 of the partition count.
+    bits: u32,
+    /// The partitions, by the top `bits` bits of their buckets' key tags.
+    parts: Vec<Part>,
+}
+
+/// One radix partition of an [`Index`]: the buckets whose key tags share
+/// its top bits. Its bucket table is keyed by [`local_tag`].
+#[derive(Debug, Default)]
+struct Part {
+    /// Bucket ids by local key tag.
     buckets: IdTable,
-    /// Packed bucket keys, stride `key_columns.len()`.
+    /// Packed bucket keys, stride = #key columns.
     keys: Vec<Value>,
     /// First posting per bucket (`NONE32` when the bucket is empty).
     heads: Vec<u32>,
@@ -797,7 +880,7 @@ pub struct Index {
     tails: Vec<u32>,
     /// Live postings per bucket.
     lens: Vec<u32>,
-    /// Packed posting rows, stride `arity`. Unappended rows stay in the
+    /// Packed posting rows, stride = arity. Unappended rows stay in the
     /// buffer (unlinked from their chain) — absorb workloads retract
     /// far fewer rows than they append.
     rows: Vec<Value>,
@@ -809,71 +892,43 @@ pub struct Index {
     live_buckets: usize,
 }
 
-impl Index {
-    fn empty(key_columns: &[usize], arity: usize) -> Self {
-        Index {
-            key_columns: key_columns.to_vec(),
-            arity,
-            buckets: IdTable::default(),
-            keys: Vec::new(),
-            heads: Vec::new(),
-            tails: Vec::new(),
-            lens: Vec::new(),
-            rows: Vec::new(),
-            next: Vec::new(),
-            live: 0,
-            live_buckets: 0,
-        }
+impl Part {
+    /// The key slice of bucket `b`, for keys of `width` columns.
+    fn key_of(&self, b: usize, width: usize) -> &[Value] {
+        &self.keys[b * width..(b + 1) * width]
     }
 
-    /// Builds the index. `key_columns` must be valid positions.
-    pub fn build(relation: &Relation, key_columns: &[usize]) -> Self {
-        Index::build_delta(relation, key_columns, Generation::default())
-    }
-
-    /// Builds an index over only the tuples added since `gen` — the shape
-    /// semi-naive evaluation uses for its per-round delta scans.
-    pub fn build_delta(relation: &Relation, key_columns: &[usize], gen: Generation) -> Self {
-        let mut idx = Index::empty(key_columns, relation.arity());
-        for row in relation.iter_since(gen) {
-            idx.append_row(row);
-        }
-        idx
-    }
-
-    /// The key slice of bucket `b`.
-    fn key_of(&self, b: usize) -> &[Value] {
-        let k = self.key_columns.len();
-        &self.keys[b * k..(b + 1) * k]
-    }
-
-    /// The packed row of posting `r`.
-    fn row_of(&self, r: u32) -> &[Value] {
-        let a = self.arity;
+    /// The packed row of posting `r`, for rows of `arity` columns.
+    fn row_of(&self, r: u32, arity: usize) -> &[Value] {
         let r = r as usize;
-        &self.rows[r * a..r * a + a]
+        &self.rows[r * arity..r * arity + arity]
     }
 
-    /// The slot of the bucket whose key equals `row`'s key columns, or the
-    /// empty slot where it would go.
-    fn find_row_bucket(&self, row: &[Value]) -> Result<usize, usize> {
-        let tag = key_tag(self.key_columns.iter().map(|&c| &row[c]));
-        let cols = &self.key_columns;
+    /// The slot of the bucket whose key equals `row` at `cols` (local tag
+    /// `tag`), or the empty slot where it would go.
+    fn find_row_bucket(&self, cols: &[usize], row: &[Value], tag: u32) -> Result<usize, usize> {
         self.buckets.find(tag, |b| {
-            cols.iter().zip(self.key_of(b)).all(|(&c, v)| row[c] == *v)
+            cols.iter()
+                .zip(self.key_of(b, cols.len()))
+                .all(|(&c, v)| row[c] == *v)
         })
     }
 
-    /// Appends a posting for `row`, preserving append order per bucket.
-    fn append_row(&mut self, row: &[Value]) {
-        debug_assert_eq!(row.len(), self.arity);
-        let b = match self.find_row_bucket(row) {
+    /// Room for `rows` more postings of `arity` columns.
+    fn reserve(&mut self, rows: usize, arity: usize) {
+        self.rows.reserve(rows * arity);
+        self.next.reserve(rows);
+    }
+
+    /// Appends a posting for `row` (local tag `tag`), preserving append
+    /// order per bucket.
+    fn append(&mut self, cols: &[usize], row: &[Value], tag: u32) {
+        let b = match self.find_row_bucket(cols, row, tag) {
             Ok(slot) => self.buckets.id_at(slot),
             Err(slot) => {
                 let b = self.heads.len();
-                let tag = key_tag(self.key_columns.iter().map(|&c| &row[c]));
                 self.buckets.put(slot, tag, b);
-                self.keys.extend(self.key_columns.iter().map(|&c| row[c]));
+                self.keys.extend(cols.iter().map(|&c| row[c]));
                 self.heads.push(NONE32);
                 self.tails.push(NONE32);
                 self.lens.push(0);
@@ -895,18 +950,18 @@ impl Index {
         self.live += 1;
     }
 
-    /// Removes one posting for `row`, if present. Tolerant of absent
-    /// postings: a tuple inserted *and* retracted since the index's
-    /// generation was never appended in the first place.
-    fn unappend(&mut self, row: &[Value]) {
-        let Ok(slot) = self.find_row_bucket(row) else {
+    /// Removes one posting for `row` (local tag `tag`), if present.
+    /// Tolerant of absent postings: a tuple inserted *and* retracted since
+    /// the index's generation was never appended in the first place.
+    fn unappend(&mut self, cols: &[usize], row: &[Value], tag: u32) {
+        let Ok(slot) = self.find_row_bucket(cols, row, tag) else {
             return;
         };
         let b = self.buckets.id_at(slot);
         let mut prev = NONE32;
         let mut cur = self.heads[b];
         while cur != NONE32 {
-            if self.row_of(cur) == row {
+            if self.row_of(cur, row.len()) == row {
                 let nxt = self.next[cur as usize];
                 if prev == NONE32 {
                     self.heads[b] = nxt;
@@ -929,10 +984,33 @@ impl Index {
             cur = self.next[cur as usize];
         }
     }
+}
+
+impl Index {
+    /// Builds the index. `key_columns` must be valid positions.
+    pub fn build(relation: &Relation, key_columns: &[usize]) -> Self {
+        Index::build_delta(relation, key_columns, Generation::default())
+    }
+
+    /// Builds an index over only the tuples added since `gen` — the shape
+    /// semi-naive evaluation uses for its per-round delta scans.
+    pub fn build_delta(relation: &Relation, key_columns: &[usize], gen: Generation) -> Self {
+        IndexBuild::build(relation, key_columns, gen).finish(relation)
+    }
 
     /// Number of tuples indexed (live postings across all buckets).
     pub fn tuple_count(&self) -> usize {
-        self.live
+        self.parts.iter().map(|p| p.live).sum()
+    }
+
+    /// Number of radix partitions (a power of two, 1 for small indexes).
+    pub fn partitions(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Live postings per partition, in partition order.
+    pub fn partition_lens(&self) -> Vec<usize> {
+        self.parts.iter().map(|p| p.live).collect()
     }
 
     /// Absorbs the changes `relation` saw since `gen` (the generation this
@@ -941,16 +1019,22 @@ impl Index {
     /// tuples appended, or `None` when the delta cannot be reconstructed
     /// exactly and the caller must rebuild.
     pub fn absorb_from(&mut self, relation: &Relation, gen: Generation) -> Option<usize> {
-        relation.delta_bounds(gen)?;
-        for row in relation.retracted_since(gen) {
-            self.unappend(row);
+        let vacated = Index {
+            key_columns: Vec::new(),
+            arity: self.arity,
+            bits: 0,
+            parts: Vec::new(),
+        };
+        match IndexBuild::absorb(std::mem::replace(self, vacated), relation, gen) {
+            Ok(build) => {
+                *self = build.finish(relation);
+                Some(build.appended())
+            }
+            Err(index) => {
+                *self = index;
+                None
+            }
         }
-        let mut appended = 0;
-        for row in relation.iter_since(gen) {
-            self.append_row(row);
-            appended += 1;
-        }
-        Some(appended)
     }
 
     /// The key columns this index was built on.
@@ -962,18 +1046,21 @@ impl Index {
     /// borrowed packed rows. The iterator reports its exact length.
     pub fn probe(&self, key: &[Value]) -> Postings<'_> {
         debug_assert_eq!(key.len(), self.key_columns.len());
-        let found = self
-            .buckets
-            .find(key_tag(key.iter()), |b| self.key_of(b) == key);
+        let tag = key_tag(key.iter());
+        let part = &self.parts[part_of(tag, self.bits)];
+        let found = part.buckets.find(local_tag(tag, self.bits), |b| {
+            part.key_of(b, key.len()) == key
+        });
         let (cur, remaining) = match found {
             Ok(slot) => {
-                let b = self.buckets.id_at(slot);
-                (self.heads[b], self.lens[b] as usize)
+                let b = part.buckets.id_at(slot);
+                (part.heads[b], part.lens[b] as usize)
             }
             Err(_) => (NONE32, 0),
         };
         Postings {
-            index: self,
+            part,
+            arity: self.arity,
             cur,
             remaining,
         }
@@ -981,7 +1068,207 @@ impl Index {
 
     /// Number of distinct keys with at least one live posting.
     pub fn distinct_keys(&self) -> usize {
-        self.live_buckets
+        self.parts.iter().map(|p| p.live_buckets).sum()
+    }
+}
+
+/// One partition's slot in an [`IndexBuild`].
+#[derive(Debug, Default)]
+struct Slot {
+    /// The partition: what it starts from until it is built (`None` for
+    /// a fresh or split partition), then the result until
+    /// [`IndexBuild::finish`] takes it.
+    part: Option<Part>,
+    /// The `(row id, key tag)` of each row to append, in storage order,
+    /// dropped once the partition is built.
+    adds: Vec<(u32, u32)>,
+    /// Likewise for the rows to unappend, in retraction order.
+    removes: Vec<(u32, u32)>,
+    built: bool,
+}
+
+/// An [`Index`] being made current one radix partition at a time, so that
+/// several threads can share the work. [`IndexBuild::build`] or
+/// [`IndexBuild::absorb`] plans it; any number of threads then call
+/// [`IndexBuild::help`], which builds every partition no other thread is
+/// building, and one calls [`IndexBuild::finish`], which waits for the
+/// partitions still being built, builds any left and assembles the
+/// index. Each partition is built exactly once, whoever builds it.
+///
+/// Each partition takes only its own rows: the plan tags every row of the
+/// delta with its partition in one pass, and a partition appends its
+/// rows in storage order, so every bucket's postings come out in the
+/// same order as from a one-partition index.
+#[derive(Debug)]
+pub struct IndexBuild {
+    key_columns: Vec<usize>,
+    arity: usize,
+    bits: u32,
+    /// The absorbed index's partitions, when it had fewer bits: each new
+    /// partition starts from the buckets of its parent that it takes.
+    /// Dropped by [`IndexBuild::finish`].
+    base: RwLock<Vec<Part>>,
+    base_bits: u32,
+    slots: Vec<Mutex<Slot>>,
+    appended: AtomicUsize,
+}
+
+impl IndexBuild {
+    /// Plans an index over the rows of `relation` added since `gen` (all
+    /// of them for the default generation).
+    pub fn build(relation: &Relation, key_columns: &[usize], gen: Generation) -> Self {
+        let bits = partition_bits(relation.delta_len(gen));
+        IndexBuild::plan(relation, key_columns, bits, gen, false)
+    }
+
+    /// Plans absorbing into `index` the changes `relation` saw since
+    /// `gen`, the generation `index` is current for; see
+    /// [`Index::absorb_from`]. Gives `index` back when the delta cannot be
+    /// reconstructed exactly and the caller must rebuild. The index splits
+    /// into more partitions when it outgrows its own.
+    pub fn absorb(index: Index, relation: &Relation, gen: Generation) -> Result<Self, Index> {
+        if relation.delta_bounds(gen).is_none() {
+            return Err(index);
+        }
+        let rows = index.tuple_count() + relation.delta_len(gen);
+        let bits = index.bits.max(partition_bits(rows));
+        let mut build = IndexBuild::plan(relation, &index.key_columns, bits, gen, true);
+        build.base_bits = index.bits;
+        if bits == index.bits {
+            for (slot, part) in build.slots.iter_mut().zip(index.parts) {
+                slot.get_mut().unwrap_or_else(PoisonError::into_inner).part = Some(part);
+            }
+        } else {
+            build.base = RwLock::new(index.parts);
+        }
+        Ok(build)
+    }
+
+    /// Plans `2^bits` partitions over the changes `relation` saw since
+    /// `gen`: one pass sorts the rows added (and, absorbing, the rows
+    /// retracted) into per-partition lists, tagged once.
+    fn plan(
+        relation: &Relation,
+        key_columns: &[usize],
+        bits: u32,
+        gen: Generation,
+        absorbing: bool,
+    ) -> Self {
+        let mut slots: Vec<Slot> = (0..1usize << bits).map(|_| Slot::default()).collect();
+        for (id, row) in relation.stored_since_range(gen, 0, usize::MAX) {
+            let tag = row_tag(key_columns, row);
+            slots[part_of(tag, bits)].adds.push((id as u32, tag));
+        }
+        if absorbing {
+            for &id in relation.retracted_ids_since(gen) {
+                let tag = row_tag(key_columns, relation.row(id));
+                slots[part_of(tag, bits)].removes.push((id as u32, tag));
+            }
+        }
+        IndexBuild {
+            key_columns: key_columns.to_vec(),
+            arity: relation.arity(),
+            bits,
+            base: RwLock::default(),
+            base_bits: bits,
+            slots: slots.into_iter().map(Mutex::new).collect(),
+            appended: AtomicUsize::new(0),
+        }
+    }
+
+    /// Tuples appended so far by the partitions built.
+    pub fn appended(&self) -> usize {
+        self.appended.load(Ordering::Relaxed)
+    }
+
+    /// Builds, over `relation` (the relation the build was planned on),
+    /// every partition that is neither built nor being built by another
+    /// thread. Never waits.
+    pub fn help(&self, relation: &Relation) {
+        for (p, slot) in self.slots.iter().enumerate() {
+            // A poisoned slot is left to `finish`, which reports it.
+            if let Ok(mut slot) = slot.try_lock() {
+                self.run(relation, p, &mut slot);
+            }
+        }
+    }
+
+    /// The finished index: waits for the partitions other threads are
+    /// building and builds the rest over `relation`.
+    ///
+    /// # Panics
+    /// Panics if a partition's build panicked on another thread, or if
+    /// called twice.
+    pub fn finish(&self, relation: &Relation) -> Index {
+        let parts = self
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(p, slot)| {
+                let mut slot = slot.lock().expect("an index partition build panicked");
+                self.run(relation, p, &mut slot);
+                slot.part.take().expect("index build finished twice")
+            })
+            .collect();
+        *self.base.write().unwrap_or_else(PoisonError::into_inner) = Vec::new();
+        Index {
+            key_columns: self.key_columns.clone(),
+            arity: self.arity,
+            bits: self.bits,
+            parts,
+        }
+    }
+
+    /// Builds partition `p`, held in `slot`, unless it is built already.
+    fn run(&self, relation: &Relation, p: usize, slot: &mut Slot) {
+        if slot.built {
+            return;
+        }
+        let mut part = slot.part.take().unwrap_or_else(|| self.split(p));
+        let (cols, bits) = (&self.key_columns[..], self.bits);
+        for (id, tag) in std::mem::take(&mut slot.removes) {
+            part.unappend(cols, relation.row(id as usize), local_tag(tag, bits));
+        }
+        let adds = std::mem::take(&mut slot.adds);
+        part.reserve(adds.len(), self.arity);
+        let rows = relation.rows_at(adds.iter().map(|&(id, _)| id as usize));
+        for (row, &(_, tag)) in rows.zip(&adds) {
+            part.append(cols, row, local_tag(tag, bits));
+        }
+        self.appended.fetch_add(adds.len(), Ordering::Relaxed);
+        slot.part = Some(part);
+        slot.built = true;
+    }
+
+    /// A partition the absorbed index did not have: the buckets its
+    /// parent partition hands down to it (none for a fresh build), each
+    /// with its postings in order.
+    fn split(&self, p: usize) -> Part {
+        let mut part = Part::default();
+        let base = self.base.read().unwrap_or_else(PoisonError::into_inner);
+        let Some(parent) = base.get(p >> (self.bits - self.base_bits)) else {
+            return part;
+        };
+        let (cols, width) = (&self.key_columns[..], self.key_columns.len());
+        for b in 0..parent.heads.len() {
+            if parent.lens[b] == 0 {
+                continue;
+            }
+            let tag = key_tag(parent.key_of(b, width).iter());
+            if part_of(tag, self.bits) != p {
+                continue;
+            }
+            let mut r = parent.heads[b];
+            while r != NONE32 {
+                part.append(
+                    cols,
+                    parent.row_of(r, self.arity),
+                    local_tag(tag, self.bits),
+                );
+                r = parent.next[r as usize];
+            }
+        }
+        part
     }
 }
 
@@ -989,7 +1276,8 @@ impl Index {
 /// rows in append order.
 #[derive(Clone, Debug)]
 pub struct Postings<'a> {
-    index: &'a Index,
+    part: &'a Part,
+    arity: usize,
     cur: u32,
     remaining: usize,
 }
@@ -1002,9 +1290,9 @@ impl<'a> Iterator for Postings<'a> {
             return None;
         }
         let r = self.cur;
-        self.cur = self.index.next[r as usize];
+        self.cur = self.part.next[r as usize];
         self.remaining -= 1;
-        Some(self.index.row_of(r))
+        Some(self.part.row_of(r, self.arity))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -1017,16 +1305,40 @@ impl ExactSizeIterator for Postings<'_> {}
 impl HeapSize for Index {
     /// One key row per live bucket plus one stored-tuple copy per live
     /// posting — the same logical bucket model as before the columnar
-    /// layout, so index byte gauges stay comparable.
+    /// layout, so index byte gauges stay comparable (and do not depend
+    /// on the partition count).
     fn heap_bytes(&self) -> usize {
         let key_width = TUPLE_HEADER_BYTES + self.key_columns.len() * VALUE_BYTES;
-        self.live_buckets * key_width + self.live * tuple_bytes(self.arity)
+        self.distinct_keys() * key_width + self.tuple_count() * tuple_bytes(self.arity)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Index {
+        /// The partition holding `row`'s bucket and its local tag.
+        fn part_mut(&mut self, row: &[Value]) -> (&mut Part, u32) {
+            let tag = row_tag(&self.key_columns, row);
+            (
+                &mut self.parts[part_of(tag, self.bits)],
+                local_tag(tag, self.bits),
+            )
+        }
+
+        fn append_row(&mut self, row: &[Value]) {
+            let cols = self.key_columns.clone();
+            let (part, tag) = self.part_mut(row);
+            part.append(&cols, row, tag);
+        }
+
+        fn unappend(&mut self, row: &[Value]) {
+            let cols = self.key_columns.clone();
+            let (part, tag) = self.part_mut(row);
+            part.unappend(&cols, row, tag);
+        }
+    }
 
     fn t2(a: i64, b: i64) -> Tuple {
         Tuple::from([Value::Int(a), Value::Int(b)])
@@ -1567,5 +1879,42 @@ mod tests {
         assert_eq!(idx.absorb_from(&r, mid_tail), None);
         // iter_since degrades to a superset instead of losing tuples.
         assert_eq!(r.iter_since(mid_tail).count(), 2);
+    }
+
+    /// Threads sharing a build: `help` skips a partition another thread
+    /// holds and `finish` waits for it; a partition whose build panicked
+    /// makes `finish` panic instead of waiting for ever.
+    #[test]
+    fn index_build_finish_waits_for_held_partitions_and_reports_panics() {
+        let mut r = Relation::new(2);
+        for k in 0..140_000 {
+            r.insert_row(&[Value::Int(k), Value::Int(k)]);
+        }
+        let build = IndexBuild::build(&r, &[0], Generation::default());
+        assert_eq!(build.slots.len(), 4);
+        let held = build.slots[1].lock().unwrap();
+        build.help(&r);
+        assert!(build.slots[0].lock().unwrap().built);
+        std::thread::scope(|s| {
+            let finished = s.spawn(|| build.finish(&r));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!finished.is_finished(), "finish waits for the held slot");
+            drop(held);
+            let index = finished.join().unwrap();
+            assert_eq!(index.tuple_count(), 140_000);
+            assert_eq!(index.probe(&[Value::Int(7)]).count(), 1);
+        });
+
+        let build = IndexBuild::build(&r, &[0], Generation::default());
+        std::thread::scope(|s| {
+            let panicked = s.spawn(|| {
+                let _slot = build.slots[2].lock().unwrap();
+                panic!("partition build fails");
+            });
+            assert!(panicked.join().is_err());
+        });
+        build.help(&r);
+        let finish = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| build.finish(&r)));
+        assert!(finish.is_err(), "a panicked partition is reported");
     }
 }

@@ -13,19 +13,24 @@
 //! start, for [`crate::parallel::run_round`]), [`IndexCache::prepare`]
 //! points each index its keyed scans probe at the relation's current
 //! [`Generation`]; the run then only reads the cache. The first probe
-//! that needs an index makes it current — absorbing the tuples appended
-//! since it was last current, or building it — exactly once per run, so
-//! indexes no probe reaches cost nothing and the index work is the same
-//! whichever worker gets there first. What a probe writes, join counters
-//! and the probe-key buffer, lives in a per-worker [`Worker`]. Join-work
-//! telemetry ([`JoinCounters`]) is emitted here, in one place, for all
-//! engines, and does not depend on the worker count.
+//! that needs an index plans making it current — absorbing the tuples
+//! appended since it was last current, or building it — exactly once per
+//! run, so indexes no probe reaches cost nothing. A large index is made
+//! current in radix partitions ([`IndexBuild`]): every worker whose probe
+//! reaches the index before it is finished builds the partitions no other
+//! worker is building, instead of waiting, and the worker that finishes
+//! it counts the work, which is therefore the same whichever workers do
+//! it. What a probe writes, join counters and the probe-key
+//! buffer, lives in a per-worker [`Worker`]. Join-work telemetry
+//! ([`JoinCounters`]) is emitted here, in one place, for all engines, and
+//! does not depend on the worker count.
 
 use std::ops::ControlFlow;
 use std::sync::{Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 use unchained_common::{
-    DeltaHandle, FxHashMap, Generation, HeapSize, Index, Instance, JoinCounters, Relation, Symbol,
-    Tuple, Value,
+    DeltaHandle, FxHashMap, Generation, HeapSize, Index, IndexBuild, Instance, JoinCounters,
+    Relation, Symbol, Tuple, Value,
 };
 use unchained_parser::Term;
 
@@ -41,42 +46,69 @@ struct CacheEntry {
     cols: Box<[usize]>,
     /// What the index must cover in the current run.
     target: Coverage,
-    /// The index, made current for `target` by the first probe of the
-    /// run that needs it. Indexes no probe reaches are never built.
+    /// The index, once made current for `target`. Indexes no probe
+    /// reaches are never built.
     index: OnceLock<Index>,
-    /// An index left by an earlier run, with what it covers: the first
-    /// probe absorbs it into `index`, or rebuilds.
+    /// Making the index current: planned by the first probe of the run
+    /// that needs it, then run by every worker that reaches it.
+    job: OnceLock<Job>,
+    /// An index left by an earlier run, with what it covers: the job
+    /// absorbs it into `index`, or rebuilds.
     stale: Mutex<Option<(Index, Coverage)>>,
 }
 
+/// Which counters an index job adds to.
+enum Work {
+    Build,
+    Absorb,
+    Rebuild,
+}
+
+/// An index being made current, shared by the workers that reach it.
+struct Job {
+    build: IndexBuild,
+    work: Work,
+}
+
+impl Job {
+    /// The finished index, once every partition is built. Counts the
+    /// work in `worker`: this runs once per job.
+    fn finish(&self, relation: &Relation, worker: &mut Worker) -> Index {
+        let index = self.build.finish(relation);
+        let tuples = self.build.appended() as u64;
+        let counters = &mut worker.counters;
+        let (indexes, tuple_counter) = match self.work {
+            Work::Build => (&mut counters.index_builds, &mut counters.indexed_tuples),
+            Work::Absorb => (&mut counters.index_appends, &mut counters.appended_tuples),
+            Work::Rebuild => (&mut counters.index_rebuilds, &mut counters.indexed_tuples),
+        };
+        *indexes += 1;
+        *tuple_counter += tuples;
+        worker.index_partitions += index.partitions() as u64;
+        index
+    }
+}
+
 impl CacheEntry {
-    /// An index over `relation` current for `target`, absorbed from the
-    /// stale one where the lineage allows. Counts the work in `counters`.
-    fn make_current(&self, relation: &Relation, counters: &mut JoinCounters) -> Index {
+    /// Plans making the index current over `relation`: absorbing the
+    /// stale index where the lineage allows, else building.
+    fn plan(&self, relation: &Relation) -> Job {
         let stale = self
             .stale
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .take();
         let mark = self.target.1;
+        let fresh = |gen| IndexBuild::build(relation, &self.cols, gen);
         // Delta indexes are rebuilt per round, never absorbed.
-        if let (Some((mut index, (gen, None))), None) = (stale, mark) {
-            if let Some(appended) = index.absorb_from(relation, gen) {
-                counters.index_appends += 1;
-                counters.appended_tuples += appended as u64;
-                return index;
-            }
-            counters.index_rebuilds += 1;
-            counters.indexed_tuples += relation.len() as u64;
-            return Index::build(relation, &self.cols);
-        }
-        let index = match mark {
-            Some(m) => Index::build_delta(relation, &self.cols, m),
-            None => Index::build(relation, &self.cols),
+        let (build, work) = match (stale, mark) {
+            (Some((index, (gen, None))), None) => match IndexBuild::absorb(index, relation, gen) {
+                Ok(build) => (build, Work::Absorb),
+                Err(_) => (fresh(Generation::default()), Work::Rebuild),
+            },
+            _ => (fresh(mark.unwrap_or_default()), Work::Build),
         };
-        counters.index_builds += 1;
-        counters.indexed_tuples += index.tuple_count() as u64;
-        index
+        Job { build, work }
     }
 
     /// How many indexes the entry holds (current and stale), and their
@@ -179,6 +211,7 @@ impl IndexCache {
                 cols: cols.into(),
                 target,
                 index: OnceLock::new(),
+                job: OnceLock::new(),
                 stale: Mutex::default(),
             }),
             Some(entry) if entry.target == target => {
@@ -194,23 +227,26 @@ impl IndexCache {
                         .unwrap_or_else(PoisonError::into_inner);
                     *stale = Some((index, entry.target));
                 }
+                entry.job = OnceLock::new();
                 entry.target = target;
             }
         }
     }
 
     /// The prepared `(pred, cols, source)` index over `relation`, made
-    /// current by this call if no probe of the run has yet; the work is
-    /// counted in `counters`. Exactly one probe builds each index a run
-    /// needs, whichever worker it comes from, so the counters summed
-    /// over workers do not depend on the schedule.
+    /// current by this call if no probe of the run has finished it yet.
+    /// The first probe plans the work; it and every probe that arrives
+    /// before the index is finished build partitions of it (see
+    /// [`IndexBuild`]). Exactly one probe counts each index a run needs
+    /// in `worker`, whichever worker it comes from, so the counters
+    /// summed over workers do not depend on the schedule.
     fn index(
         &self,
         pred: Symbol,
         cols: &[usize],
         source: ScanSource,
         relation: &Relation,
-        counters: &mut JoinCounters,
+        worker: &mut Worker,
     ) -> &Index {
         let entry = self
             .entries
@@ -218,9 +254,17 @@ impl IndexCache {
             .and_then(|entries| entries.iter().find(|e| *e.cols == *cols))
             .expect("keyed scan probed an index that was never prepared");
         debug_assert_eq!(entry.target.0, relation.generation());
-        entry
-            .index
-            .get_or_init(|| entry.make_current(relation, counters))
+        if let Some(index) = entry.index.get() {
+            return index;
+        }
+        let started = worker.timed.then(Instant::now);
+        let job = entry.job.get_or_init(|| entry.plan(relation));
+        job.build.help(relation);
+        let index = entry.index.get_or_init(|| job.finish(relation, worker));
+        if let Some(started) = started {
+            worker.index_nanos += u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        }
+        index
     }
 }
 
@@ -229,8 +273,15 @@ impl IndexCache {
 /// plans run, so any number of workers can share it.
 #[derive(Default)]
 pub(crate) struct Worker {
-    /// Probes and probed tuples of this worker's scans.
+    /// Probes and probed tuples of this worker's scans, and the index
+    /// work it finished.
     pub(crate) counters: JoinCounters,
+    /// Partitions of the indexes this worker finished.
+    pub(crate) index_partitions: u64,
+    /// Whether to time the index work.
+    pub(crate) timed: bool,
+    /// Time this worker spent making indexes current, when `timed`.
+    pub(crate) index_nanos: u64,
     /// Reused for every probe key; released before the probe's rows are
     /// walked, so nested scans share it.
     key: Vec<Value>,
@@ -329,8 +380,8 @@ pub fn for_each_match_from(
     debug_assert_eq!(env.len(), plan.var_count);
     cache.prepare(plan, sources);
     let mut worker = Worker {
-        counters: JoinCounters::default(),
         key: std::mem::take(&mut cache.key),
+        ..Worker::default()
     };
     let ctx = Ctx {
         sources,
@@ -550,9 +601,7 @@ fn run_steps(
             let Some(relation) = ctx.sources.relation(*pred, *source) else {
                 return ControlFlow::Continue(()); // absent relation = empty
             };
-            let index = ctx
-                .cache
-                .index(*pred, key, *source, relation, &mut worker.counters);
+            let index = ctx.cache.index(*pred, key, *source, relation, worker);
             // The probe key is only read to find the bucket, so the
             // buffer is free again before the postings are walked.
             let mut probe = std::mem::take(&mut worker.key);
@@ -618,10 +667,10 @@ mod tests {
         mark: Option<Generation>,
     ) -> &'c Index {
         cache.refresh(pred, &[0], source, (rel.generation(), mark));
-        let mut counters = JoinCounters::default();
-        cache.index(pred, &[0], source, rel, &mut counters);
-        cache.counters.absorb(&counters);
-        cache.index(pred, &[0], source, rel, &mut counters)
+        let mut worker = Worker::default();
+        cache.index(pred, &[0], source, rel, &mut worker);
+        cache.counters.absorb(&worker.counters);
+        cache.index(pred, &[0], source, rel, &mut worker)
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! goes to a private per-worker buffer. [`run_round`] prepares the one
 //! [`IndexCache`] of the evaluation for the round's plans, and workers
 //! then share it by reference: each index a keyed scan probes is made
-//! current once per round, by the first probe that needs it, and
-//! workers keep only their join counters and probe-key buffer to
-//! themselves. With one worker the loop runs inline on the calling
-//! thread; with more, workers are `std::thread::scope` threads (no
-//! runtime, no channels, zero dependencies).
+//! current once per round, its radix partitions built by whichever
+//! workers reach it while it is being built, and workers keep only their
+//! counters and probe-key buffer to themselves. With one worker the loop
+//! runs inline on the calling thread; with more, workers are
+//! `std::thread::scope` threads (no runtime, no channels, zero
+//! dependencies).
 //!
 //! Work is split into **morsels**: fixed-size contiguous ranges of
 //! physical storage rows of each plan's driver scan (its first step, when
@@ -29,14 +30,16 @@
 //! row, and the morsels partition each driver enumeration exactly — so
 //! the union of per-morsel match sets, the per-rule fired sums and the
 //! probe counts are the same for every worker count, and so is the
-//! index work, done once per round per index whichever worker triggers
-//! it. Derived rows are packed straight into per-morsel buffers (no
-//! per-fact allocation) and merged in morsel order, each kept at its
-//! first occurrence, so the round delta — rows *and* their storage
-//! order — and therefore every subsequent round, the final instance,
-//! and its display are byte-identical for any thread count. A single
-//! worker runs the morsels in that order anyway, so it fills one
-//! buffer.
+//! index work, done once per round per index whichever workers do it.
+//! Each morsel packs the rows it derives into a buffer of its head
+//! predicate (a packed [`Relation`]: no per-fact allocation, and a row
+//! the buffer already holds is dropped; a worker's consecutive morsels
+//! of one task share a buffer), and [`run_round`] returns the buffers in
+//! morsel order. The caller inserts them into the
+//! instance in that order, the first occurrence of a fact winning, so the
+//! round delta — rows *and* their storage order — and therefore every
+//! subsequent round, the final instance, and its display are
+//! byte-identical for any thread count.
 
 use crate::exec::{driver_len, execute, Ctx, IndexCache, Morsel, Sources, Worker};
 use crate::ir::Plan;
@@ -44,7 +47,7 @@ use crate::subst::instantiate_into;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-use unchained_common::{Instance, Value};
+use unchained_common::{Relation, Symbol, Value};
 use unchained_parser::Atom;
 
 /// One unit of round work: a compiled plan and the head it derives into.
@@ -58,8 +61,19 @@ pub(crate) struct PlanTask<'p> {
     pub plan: &'p Plan,
 }
 
+/// The rows derived by a run of consecutive morsels of one task, in
+/// derivation order, each kept at its first occurrence. Rows already in
+/// the instance the round read are left out.
+#[derive(Debug)]
+pub(crate) struct Derived {
+    /// The head predicate the rows belong to.
+    pub pred: Symbol,
+    /// The rows, in storage order.
+    pub rows: Relation,
+}
+
 /// Per-round attribution data returned by [`run_round`] alongside the
-/// merged pending instance.
+/// derived rows.
 pub(crate) struct RoundStats {
     /// Total rule-body matches fired across all tasks and workers.
     pub fired_total: u64,
@@ -77,6 +91,12 @@ pub(crate) struct RoundStats {
     /// workers, one entry per worker (also for workers that pulled no
     /// morsels). Empty with one worker or when `timed` was false.
     pub workers: Vec<(u64, u64)>,
+    /// Time spent making indexes current, summed over all workers; 0
+    /// when `timed` was false.
+    pub index_nanos: u64,
+    /// Partitions of the indexes made current in the round.
+    /// Deterministic: the partition count follows the rows indexed.
+    pub index_partitions: u64,
 }
 
 /// The deterministic work list for one round: each entry names a task
@@ -107,12 +127,12 @@ fn build_morsels(
     morsels
 }
 
-/// What one worker hands back: the rows its morsels derived (one
-/// buffer per morsel, tagged with the morsel's position in the work
-/// list), its join counters, fired counts per rule, per-rule times and
-/// its own lane.
+/// What one worker hands back: the rows its morsels derived (one buffer
+/// per run of consecutive morsels of one task, tagged with the run's
+/// first position in the work list), its counters, fired counts per
+/// rule, per-rule times and its own lane.
 type WorkerResult = (
-    Vec<(usize, Instance)>,
+    Vec<(usize, Derived)>,
     Worker,
     Vec<u64>,
     Vec<Option<(u64, u64)>>,
@@ -120,15 +140,15 @@ type WorkerResult = (
 );
 
 /// Runs one round's `tasks` against `sources` on `workers` workers and
-/// merges their derived rows in morsel order. The round's work is cut
-/// into driver-row morsels of at most `morsel_size` rows (see the module
-/// docs) which workers pull from a shared queue; `cache` is prepared for
-/// the round's plans before they start, and their join counters are
-/// added to `cache.counters` after they finish. `rules` bounds the rule
-/// indexes in `tasks`; `timed` additionally records per-rule and
-/// per-worker wall offsets (for rule and worker-lane spans). Returns the
-/// merged pending instance (deduplicated against `sources.full`) and the
-/// round's attribution stats.
+/// returns the rows they derived in morsel order. The round's work is
+/// cut into driver-row morsels of at most `morsel_size` rows (see the
+/// module docs) which workers pull from a shared queue; `cache` is
+/// prepared for the round's plans before they start, and their join
+/// counters are added to `cache.counters` after they finish. `rules`
+/// bounds the rule indexes in `tasks`; `timed` additionally records
+/// per-rule and per-worker wall offsets (for rule and worker-lane
+/// spans) and the index time. The caller inserts the rows in the order
+/// returned; the first occurrence of a row wins.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_round(
     tasks: &[PlanTask<'_>],
@@ -139,7 +159,7 @@ pub(crate) fn run_round(
     morsel_size: usize,
     rules: usize,
     timed: bool,
-) -> (Instance, RoundStats) {
+) -> (Vec<Derived>, RoundStats) {
     let round_start = Instant::now();
     let morsels = build_morsels(tasks, sources, morsel_size);
     for task in tasks {
@@ -161,10 +181,12 @@ pub(crate) fn run_round(
     let work = || -> WorkerResult {
         let started = offset();
         let mut worker = Worker::default();
+        worker.timed = timed;
         let mut fired_per_rule = vec![0u64; rules];
         let mut rule_times: Vec<Option<(u64, u64)>> = vec![None; rules];
-        let mut outputs: Vec<(usize, Instance)> = Vec::new();
-        let mut out = Instance::new();
+        let mut outputs: Vec<(usize, Derived)> = Vec::new();
+        // The last morsel the newest buffer covers.
+        let mut covered = None;
         let mut row: Vec<Value> = Vec::new();
         loop {
             let m = cursor.fetch_add(1, Ordering::Relaxed);
@@ -172,26 +194,34 @@ pub(crate) fn run_round(
                 break;
             };
             let task = &tasks[t];
+            let pred = task.head.pred;
             let morsel_start = offset();
+            // A morsel that directly follows the newest buffer's last
+            // one and derives into the same predicate continues that
+            // buffer: no other worker's rows can fall between them.
+            let continues = covered == m.checked_sub(1)
+                && outputs.last().is_some_and(|(_, out)| out.pred == pred);
+            if !continues {
+                let rows = Relation::new(task.head.args.len());
+                outputs.push((m, Derived { pred, rows }));
+            }
+            let (_, out) = outputs.last_mut().expect("a buffer was just pushed");
             let mut env = vec![None; task.plan.var_count];
             let _ = execute(task.plan, ctx, &mut worker, morsel, &mut env, &mut |env| {
                 fired_per_rule[task.rule] += 1;
                 instantiate_into(&task.head.args, env, &mut row);
-                if !sources.full.contains_fact(task.head.pred, &row) {
-                    out.insert_row(task.head.pred, &row);
+                if !sources.full.contains_fact(pred, &row) {
+                    out.rows.insert_row(&row);
                 }
                 ControlFlow::Continue(())
             });
+            if out.rows.is_empty() {
+                outputs.pop();
+            } else {
+                covered = Some(m);
+            }
             let (_, dur) = rule_times[task.rule].get_or_insert((morsel_start, 0));
             *dur += offset().saturating_sub(morsel_start);
-            // Several workers pull morsels in a schedule-dependent order:
-            // keep each morsel's rows apart for the ordered merge.
-            if workers > 1 && !out.is_empty() {
-                outputs.push((m, std::mem::take(&mut out)));
-            }
-        }
-        if !out.is_empty() {
-            outputs.push((0, out));
         }
         let lane = (started, offset().saturating_sub(started));
         (outputs, worker, fired_per_rule, rule_times, lane)
@@ -213,11 +243,15 @@ pub(crate) fn run_round(
         fired_per_rule: vec![0u64; rules],
         rules: Vec::new(),
         workers: Vec::new(),
+        index_nanos: 0,
+        index_partitions: 0,
     };
     let mut rule_times: Vec<Option<(u64, u64)>> = vec![None; rules];
-    let mut outputs: Vec<(usize, Instance)> = Vec::new();
+    let mut outputs: Vec<(usize, Derived)> = Vec::new();
     for (worker_outputs, worker, fired_per_rule, times, lane) in results {
         cache.counters.absorb(&worker.counters);
+        stats.index_nanos += worker.index_nanos;
+        stats.index_partitions += worker.index_partitions;
         for (rule, f) in fired_per_rule.into_iter().enumerate() {
             stats.fired_per_rule[rule] += f;
             stats.fired_total += f;
@@ -242,26 +276,19 @@ pub(crate) fn run_round(
             .map(Option::unwrap_or_default)
             .collect();
     }
-    // Merge in morsel order; the first buffer becomes the merge target.
+    // The buffers cover disjoint runs of morsels: sorting them by first
+    // morsel puts every row in morsel order.
     outputs.sort_unstable_by_key(|&(m, _)| m);
-    let mut outputs = outputs.into_iter().map(|(_, out)| out);
-    let mut merged = outputs.next().unwrap_or_default();
-    for out in outputs {
-        for (pred, rel) in out.iter() {
-            for row in rel.iter_stored() {
-                merged.insert_row(pred, row);
-            }
-        }
-    }
-    (merged, stats)
+    (outputs.into_iter().map(|(_, out)| out).collect(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::{ScanSource, Step};
     use crate::planner::{plan_rule, Catalog, PlanMode, Planner};
     use crate::subst::active_domain;
-    use unchained_common::{DeltaHandle, FxHashSet, Interner, Symbol, Tuple};
+    use unchained_common::{DeltaHandle, FxHashSet, Instance, Interner, Tuple};
     use unchained_parser::{parse_program, HeadLiteral};
 
     fn tc_setup(n: i64) -> (Interner, unchained_parser::Program, Instance) {
@@ -274,6 +301,18 @@ mod tests {
         }
         inst.commit_all();
         (i, p, inst)
+    }
+
+    /// Every derived row with its predicate, in the order returned, each
+    /// at its first occurrence: what inserting the buffers adds. (Which
+    /// repeats a buffer drops depends on how morsels share buffers.)
+    fn rows_of(derived: &[Derived]) -> Vec<(Symbol, Vec<Value>)> {
+        let mut seen = FxHashSet::default();
+        derived
+            .iter()
+            .flat_map(|out| out.rows.iter_stored().map(|row| (out.pred, row.to_vec())))
+            .filter(|fact| seen.insert(fact.clone()))
+            .collect()
     }
 
     fn head(rule: &unchained_parser::Rule) -> Atom {
@@ -296,9 +335,9 @@ mod tests {
             .collect()
     }
 
-    /// Full round 1: the merged buffer and attribution equal a
-    /// single-worker run, across worker counts and morsel sizes —
-    /// including morsel size 1 (one row per morsel) and more workers
+    /// Full round 1: the derived rows, in order, and the attribution
+    /// equal a single-worker run, across worker counts and morsel sizes
+    /// — including morsel size 1 (one row per morsel) and more workers
     /// than morsels.
     #[test]
     fn morsel_full_round_matches_single_worker() {
@@ -333,7 +372,11 @@ mod tests {
                 rules,
                 true,
             );
-            assert!(seq.same_facts(&par), "workers={workers} size={morsel_size}");
+            assert_eq!(
+                rows_of(&seq),
+                rows_of(&par),
+                "workers={workers} size={morsel_size}"
+            );
             assert_eq!(seq_stats.fired_total, par_stats.fired_total);
             // One shared cache: the join counters do not depend on the
             // worker count either.
@@ -348,7 +391,7 @@ mod tests {
     }
 
     /// Delta mode: the morsels partition each delta enumeration exactly,
-    /// so the merged result and fired counts equal sequential.
+    /// so the derived rows, in order, and fired counts equal sequential.
     #[test]
     fn morsel_delta_round_matches_single_worker() {
         let (mut i, p, mut inst) = tc_setup(8);
@@ -409,7 +452,11 @@ mod tests {
                 rules,
                 false,
             );
-            assert!(seq.same_facts(&par), "workers={workers} size={morsel_size}");
+            assert_eq!(
+                rows_of(&seq),
+                rows_of(&par),
+                "workers={workers} size={morsel_size}"
+            );
             assert_eq!(
                 seq_stats.fired_total, par_stats.fired_total,
                 "workers={workers} size={morsel_size}"
@@ -422,8 +469,8 @@ mod tests {
     }
 
     /// Rounds with no work at all — no tasks, or only empty drivers —
-    /// produce an empty merged buffer and zeroed attribution, and every
-    /// worker still reports a timing lane.
+    /// derive no rows and zeroed attribution, and every worker still
+    /// reports a timing lane.
     #[test]
     fn empty_rounds_drain_cleanly() {
         let (_, p, inst) = tc_setup(0); // G exists in the program, no facts
@@ -433,16 +480,117 @@ mod tests {
         let rules = p.rules.len();
         let sources = Sources::simple(&inst);
         let mut cache = IndexCache::new();
-        let (merged, stats) = run_round(&tasks, sources, &adom, &mut cache, 4, 8, rules, true);
-        assert_eq!(merged.fact_count(), 0);
+        let (derived, stats) = run_round(&tasks, sources, &adom, &mut cache, 4, 8, rules, true);
+        assert!(derived.is_empty());
         assert_eq!(stats.fired_total, 0);
         assert_eq!(stats.workers.len(), 4);
 
         // Entirely taskless round.
-        let (merged, stats) = run_round(&[], sources, &adom, &mut cache, 4, 8, 0, true);
-        assert_eq!(merged.fact_count(), 0);
+        let (derived, stats) = run_round(&[], sources, &adom, &mut cache, 4, 8, 0, true);
+        assert!(derived.is_empty());
         assert_eq!(stats.fired_total, 0);
         assert_eq!(stats.workers.len(), 4);
+    }
+
+    /// Workers share the index builds of a round: at 4 workers with
+    /// single-row morsels, a stale full index that absorbs (and splits
+    /// from 2 into 4 partitions) and a fresh 2-partition delta index are
+    /// each made current once, every partition built exactly once (the
+    /// appended and indexed tuples equal the rows of the deltas, none
+    /// appended twice or left out), and every join counter equals the
+    /// 1-worker run's, as do the derived rows.
+    #[test]
+    fn workers_share_partitioned_index_builds() {
+        let mut i = Interner::new();
+        let p = parse_program("T(x,y) :- D(x), G(x,y).", &mut i).unwrap();
+        let (d, g) = (i.get("D").unwrap(), i.get("G").unwrap());
+        let atoms: Vec<&Atom> = p.rules[0]
+            .body
+            .iter()
+            .map(|lit| match lit {
+                unchained_parser::Literal::Pos(a) => a,
+                _ => unreachable!(),
+            })
+            .collect();
+        let plan_of = |source| {
+            let mut plan = plan_rule(&p.rules[0]);
+            plan.steps = vec![
+                Step::Scan {
+                    pred: d,
+                    args: atoms[0].args.clone(),
+                    key: vec![],
+                    source: ScanSource::Full,
+                },
+                Step::Scan {
+                    pred: g,
+                    args: atoms[1].args.clone(),
+                    key: vec![0],
+                    source,
+                },
+            ];
+            plan
+        };
+        let full = plan_of(ScanSource::Full);
+        let delta = plan_of(ScanSource::Delta);
+        let task = |plan| PlanTask {
+            rule: 0,
+            head: head(&p.rules[0]),
+            plan,
+        };
+        let edges = |inst: &mut Instance, range: std::ops::Range<i64>| {
+            for k in range {
+                inst.insert_fact(g, Tuple::from([Value::Int(k), Value::Int(k + 1)]));
+            }
+            inst.commit_all();
+        };
+        let run = |workers: usize| {
+            let mut inst = Instance::new();
+            for k in 0..64 {
+                inst.insert_fact(d, Tuple::from([Value::Int(k * 2_000)]));
+            }
+            edges(&mut inst, 0..70_000);
+            let mut cache = IndexCache::new();
+            // Builds the full index on 70,000 rows: 2 partitions.
+            let (_, warm) = run_round(
+                &[task(&full)],
+                Sources::simple(&inst),
+                &[],
+                &mut cache,
+                workers,
+                1,
+                1,
+                false,
+            );
+            assert_eq!(warm.index_partitions, 2);
+            let mark = DeltaHandle::capture(&inst);
+            edges(&mut inst, 70_000..140_000);
+            cache.begin_delta_round();
+            let sources = Sources {
+                full: &inst,
+                delta: Some(&mark),
+                neg: None,
+                delta_from: None,
+            };
+            let (derived, stats) = run_round(
+                &[task(&full), task(&delta)],
+                sources,
+                &[],
+                &mut cache,
+                workers,
+                1,
+                1,
+                false,
+            );
+            (rows_of(&derived), stats.index_partitions, cache.counters)
+        };
+        let (rows, partitions, counters) = run(1);
+        assert_eq!(partitions, 4 + 2, "absorbed full index + delta index");
+        assert_eq!(counters.index_builds, 2, "full index, then the delta index");
+        assert_eq!(counters.index_appends, 1);
+        assert_eq!(counters.appended_tuples, 70_000);
+        assert_eq!(counters.indexed_tuples, 70_000 + 70_000);
+        assert_eq!(rows.len(), 64, "one edge per D row");
+        assert_eq!(run(4), (rows, partitions, counters));
     }
 
     /// The morsel list is deterministic and covers each driver exactly.

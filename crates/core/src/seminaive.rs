@@ -20,6 +20,7 @@ use crate::parallel::{run_round, PlanTask, RoundStats};
 use crate::planner::{Catalog, Planner};
 use crate::require_language;
 use crate::subst::{active_domain, needs_active_domain};
+use std::collections::BTreeMap;
 use unchained_common::{
     DeltaHandle, FxHashSet, HeapSize, Instance, JoinCounters, Span, SpanKind, StageRecord, Symbol,
     Tracer,
@@ -29,8 +30,10 @@ use unchained_parser::{check_range_restricted, Atom, HeadLiteral, Language, Prog
 /// Attaches one round's attribution leaves to the currently open round
 /// span: per-rule spans (deterministic `fired` gauges, and the time the
 /// rule's morsels took, summed over workers), per-worker lane spans
-/// (rounds run by several workers), and a join-counter summary. Offsets
-/// in `stats` are relative to `round_base`.
+/// (rounds run by several workers), an `index` phase (the time spent
+/// making indexes current, summed over workers, with the tuples indexed
+/// or absorbed and the partitions built), and a join-counter summary.
+/// Offsets in `stats` are relative to `round_base`.
 fn emit_round_leaves(
     tracer: &Tracer,
     head_preds: &[Symbol],
@@ -54,6 +57,14 @@ fn emit_round_leaves(
         span.dur_nanos = *dur;
         tracer.leaf(span);
     }
+    let mut index = Span::leaf(SpanKind::Phase, "index");
+    index.start_nanos = round_base;
+    index.dur_nanos = stats.index_nanos;
+    index.gauges = vec![
+        ("tuples", joins.indexed_tuples + joins.appended_tuples),
+        ("partitions", stats.index_partitions),
+    ];
+    tracer.leaf(index);
     let mut join = Span::leaf(SpanKind::Join, "joins");
     join.gauges = vec![
         ("probes", joins.probes),
@@ -174,7 +185,7 @@ pub(crate) fn seminaive_fixpoint(
         } else {
             &full_tasks
         };
-        let (pending, stats) = run_round(
+        let (derived, stats) = run_round(
             tasks,
             sources,
             adom,
@@ -184,36 +195,35 @@ pub(crate) fn seminaive_fixpoint(
             rules.len(),
             traced,
         );
-        // Live facts right now = instance + the pending buffer, which
-        // only grows during a round: its high-water mark.
-        if tel.is_enabled() {
-            tel.sample_peak(
-                instance.fact_count() + pending.fact_count(),
-                instance.heap_bytes() + pending.heap_bytes(),
-            );
-        }
 
-        // Capture generation marks, then merge.
+        // Capture generation marks, then insert the derived rows in
+        // morsel order: the first occurrence of a fact wins, so storage
+        // order is the same at every thread count.
         let next_mark = DeltaHandle::capture(instance);
         let absorb_start = tracer.now_nanos();
-        let mut changed = false;
-        for (pred, rel) in pending.iter() {
-            for row in rel.iter_stored() {
-                changed |= instance.insert_row(pred, row);
+        let mut delta: BTreeMap<Symbol, usize> = BTreeMap::new();
+        for out in &derived {
+            let relation = instance.ensure(out.pred, out.rows.arity());
+            let added = out
+                .rows
+                .iter_stored()
+                .filter(|row| relation.insert_row(row))
+                .count();
+            if added > 0 {
+                *delta.entry(out.pred).or_default() += added;
             }
         }
+        let absorb_end = tracer.now_nanos();
+        let facts_added: usize = delta.values().sum();
         let joins = cache.counters.since(&joins_before);
         tel.with(|t| {
             t.stages.push(StageRecord {
                 stage: base + rounds,
                 wall_nanos: stage_sw.nanos(),
-                facts_added: pending.fact_count(),
+                facts_added,
                 facts_removed: 0,
                 rules_fired: stats.fired_total,
-                delta: pending
-                    .iter()
-                    .map(|(pred, rel)| (pred, rel.len()))
-                    .collect(),
+                delta: delta.into_iter().collect(),
                 bytes: instance.heap_bytes() as u64,
                 joins,
             });
@@ -225,18 +235,18 @@ pub(crate) fn seminaive_fixpoint(
             // the attribution leaves, then close the round span. Logical
             // bytes are counts x fixed widths, so the lane is identical
             // at any thread count.
-            tracer.gauge("facts_added", pending.fact_count() as u64);
+            tracer.gauge("facts_added", facts_added as u64);
             tracer.gauge("rules_fired", stats.fired_total);
             tracer.gauge("bytes", instance.heap_bytes() as u64);
             let mut absorb = Span::leaf(SpanKind::Absorb, "merge");
             absorb.start_nanos = absorb_start;
-            absorb.dur_nanos = tracer.now_nanos().saturating_sub(absorb_start);
-            absorb.gauges.push(("facts", pending.fact_count() as u64));
+            absorb.dur_nanos = absorb_end.saturating_sub(absorb_start);
+            absorb.gauges.push(("facts", facts_added as u64));
             tracer.leaf(absorb);
             emit_round_leaves(&tracer, &head_preds, &stats, round_base, &joins);
         }
         drop(round_guard);
-        if !changed {
+        if facts_added == 0 {
             return Ok(rounds);
         }
         if options.max_facts.is_some_and(|m| instance.fact_count() > m) {
@@ -336,7 +346,8 @@ pub fn eval_to_relation(
 mod tests {
     use super::*;
     use crate::naive;
-    use unchained_common::{Interner, Tuple, Value};
+    use crate::options::DEFAULT_MORSEL_SIZE;
+    use unchained_common::{Interner, Telemetry, Tuple, Value};
     use unchained_parser::parse_program;
 
     fn tc_program(interner: &mut Interner) -> Program {
@@ -516,6 +527,64 @@ mod tests {
             let b = minimum_model(&p, &tombstoned, options()).unwrap();
             assert!(a.instance.same_facts(&b.instance), "threads={threads}");
             assert_eq!(a.stages, b.stages, "threads={threads}");
+        }
+    }
+
+    /// Every relation's storage order and every stage's `facts_added`
+    /// and per-predicate delta are the same at any thread count and
+    /// morsel size. The rules derive duplicates within one morsel (two
+    /// paths `x -> y -> z` from adjacent driver rows) and across morsels
+    /// (`R(y)` from every in-edge of `y`); the first occurrence in morsel
+    /// order must win whichever worker derived it.
+    #[test]
+    fn storage_order_and_stage_deltas_do_not_depend_on_the_schedule() {
+        let mut i = Interner::new();
+        let p = parse_program(
+            "R(y) :- G(x,y).\n\
+             P(x,z) :- G(x,y), G(y,z).\n\
+             T(x,y) :- G(x,y).\n\
+             T(x,y) :- T(x,z), G(z,y).",
+            &mut i,
+        )
+        .unwrap();
+        let input = random_ish_graph(&mut i, 300);
+        type Stored = Vec<(Symbol, Vec<Vec<Value>>)>;
+        type Stages = Vec<(usize, Vec<(Symbol, usize)>)>;
+        let run = |threads: usize, morsel_size: usize| -> (Stored, Stages) {
+            let tel = Telemetry::enabled();
+            let options = EvalOptions::default()
+                .with_threads(threads)
+                .with_morsel_size(morsel_size)
+                .with_telemetry(tel.clone());
+            let out = minimum_model(&p, &input, options).unwrap();
+            let stored = out
+                .instance
+                .iter()
+                .map(|(pred, rel)| (pred, rel.iter_stored().map(<[Value]>::to_vec).collect()))
+                .collect();
+            let stages = tel
+                .snapshot()
+                .unwrap()
+                .stages
+                .into_iter()
+                .map(|s| (s.facts_added, s.delta))
+                .collect();
+            (stored, stages)
+        };
+        let (stored, stages) = run(1, DEFAULT_MORSEL_SIZE);
+        assert!(stages.len() > 2, "the closure takes several rounds");
+        for threads in [1, 2, 4] {
+            for morsel_size in [1, 3, DEFAULT_MORSEL_SIZE] {
+                let (got_stored, got_stages) = run(threads, morsel_size);
+                assert!(
+                    got_stored == stored,
+                    "storage order differs at threads={threads} morsel_size={morsel_size}"
+                );
+                assert_eq!(
+                    got_stages, stages,
+                    "threads={threads} morsel_size={morsel_size}"
+                );
+            }
         }
     }
 

@@ -85,7 +85,9 @@ if [ "$par_median" -gt $(( seq_median * 10 + 5000000 )) ]; then
 fi
 
 # Observability gate: a seeded 4-worker profile run must emit a valid
-# Chrome trace-event file containing the full span taxonomy (validated
+# Chrome trace-event file containing the full span taxonomy, including
+# each round's serial phases — the `absorb` leaf timing the insert of the
+# derived rows and the `index` phase timing the index work (validated
 # by `unchained trace-check`, which parses the JSON and checks kinds),
 # print the hottest-rules table, and the metrics scrape must expose the
 # required series in the Prometheus text format.
@@ -100,7 +102,7 @@ if ! printf '%s' "$profile_out" | grep -q "hottest rules"; then
 fi
 cargo run -q --release -p unchained-cli -- trace-check \
     target/profile-smoke.trace.json \
-    --expect eval,stratum,round,rule,worker,join >/dev/null
+    --expect eval,stratum,round,rule,worker,join,absorb,phase >/dev/null
 for series in 'unchained_eval_runs_total{engine="seminaive"}' \
     unchained_eval_wall_seconds_bucket unchained_trace_spans; do
     if ! grep -q "$series" target/profile-smoke.prom; then
@@ -261,9 +263,9 @@ fi
 # and appended tuples, probes), since all workers share one index cache
 # that builds each index once per round. The morsel scheduler is only allowed to
 # change wall time, and the parallel wall time must stay within the
-# same order of magnitude as sequential (this container is
-# single-core, so parallel rows are legitimately slower, never faster;
-# the gate catches pathological blowups, not missing speedups).
+# same order of magnitude as sequential (rows above the host's core
+# count are legitimately slower than sequential; the gate catches
+# pathological blowups, not missing speedups).
 echo "==> bench smoke: scale_pointsto work-gauge equality seq vs parallel"
 cargo run -q --release -p unchained-bench -- --filter scale_pointsto --reps 1 \
     --json target/bench-scale.json >/dev/null
